@@ -221,9 +221,9 @@ def _cmd_build(args) -> int:
 
 
 def _load_graph(doc: dict) -> ChamberGraph:
-    if "payload" in doc and isinstance(doc["payload"], dict):
+    if isinstance(doc, dict) and isinstance(doc.get("payload"), dict):
         doc = doc["payload"]
-    if "graph" in doc:
+    if isinstance(doc, dict) and "graph" in doc:
         doc = doc["graph"]
     return ChamberGraph.from_json(doc)
 
@@ -233,8 +233,8 @@ def _cmd_slope(args) -> int:
     graph = _load_graph(graph_doc)
     config_doc, config_sha = _read_json(args.config)
     try:
-        chambers = [tuple(c) for c in config_doc["chambers"]]
-    except (KeyError, TypeError) as exc:
+        chambers = [(int(u), int(v)) for u, v in config_doc["chambers"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed config: {exc}")
     weights = _parse_weights(config_doc)
     config = WeightedConfiguration(graph, chambers, weights)

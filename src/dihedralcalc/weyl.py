@@ -135,10 +135,6 @@ class DihedralGroup:
         eps, c = self._to_map(w)
         return self._from_map(eps, -eps * c)
 
-    def mul_gen(self, w: WeylElement, i: int, left: bool = False) -> WeylElement:
-        g = self.gen(i)
-        return self.compose(g, w) if left else self.compose(w, g)
-
     # -- words ----------------------------------------------------------------
 
     def word(self, w: WeylElement) -> list[int]:

@@ -11,7 +11,6 @@ from dihedralcalc.building import (
     ChamberGraph,
     WeightedConfiguration,
     antipodal,
-    assert_girth,
     attach_mpod,
     ball_intersection_census,
     bar_step,
@@ -94,6 +93,22 @@ def test_add_path_types_and_parity():
         g.add_path(u, v, 0)
 
 
+def test_add_path_refuses_short_cycle():
+    g = ChamberGraph.apartment(3)
+    types, adj = list(g.types), [list(a) for a in g.adj]
+    with pytest.raises(VerificationError):
+        g.add_path(0, 2, 2)  # d(0, 2) = 2 closes a 4-cycle
+    assert g.types == types
+    assert g.adj == adj
+
+
+def test_add_path_accepts_girth_cycle():
+    g = ChamberGraph.apartment(3)
+    new = g.add_path(0, 3, 3)  # d(0, 3) = 3 closes exactly a 6-cycle
+    assert len(new) == 2
+    assert girth(g) == 6
+
+
 def test_json_roundtrip_and_schema():
     g = ChamberGraph.apartment(3, seed=5)
     doc = g.to_json()
@@ -105,6 +120,26 @@ def test_json_roundtrip_and_schema():
     assert back.edges() == g.edges()
     assert back.log == g.log
     doc["vertices"][0]["id"] = 17
+    with pytest.raises(InvalidParameterError):
+        ChamberGraph.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d.pop("vertices"),
+        lambda d: d.pop("n"),
+        lambda d: d.update(vertices=5),
+        lambda d: d.update(edges=[[0]]),
+        lambda d: d.update(n="three"),
+        lambda d: d["edges"].append([0, 99]),
+        lambda d: d["edges"].append([-2, 1]),  # would alias vertex 4
+    ],
+    ids=["no-vertices", "no-n", "vertices-int", "short-edge", "n-str", "edge-high", "edge-neg"],
+)
+def test_from_json_rejects_malformed(mangle):
+    doc = ChamberGraph.apartment(3).to_json()
+    mangle(doc)
     with pytest.raises(InvalidParameterError):
         ChamberGraph.from_json(doc)
 
@@ -122,7 +157,6 @@ def test_girth_tree_is_infinite():
     v = g.add_vertex(2)
     g.add_path(u, v, 5)
     assert girth(g) == math.inf
-    assert_girth(g)
 
 
 def test_graph_metrics_disconnected():

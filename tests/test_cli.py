@@ -244,6 +244,46 @@ def test_slope_accepts_bare_graph_json(tmp_path):
     run(tmp_path, "slope", "--graph", str(raw), "--config", str(cfg))
 
 
+@pytest.mark.parametrize("eta", ["99999", "-1"])
+def test_slope_eta_outside_graph_exits_2(tmp_path, capsys, eta):
+    dest = tmp_path / "g.json"
+    run(tmp_path, "build", "--n", "3", "--stages", "1", "--seed", "7",
+        "--dest", str(dest))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "chambers": load(dest)["payload"]["chambers"][:1],
+        "weights": [["1", "2"]]}))
+    assert main(["slope", "--graph", str(dest), "--config", str(cfg),
+                 "--eta", eta]) == 2
+    assert "outside" in capsys.readouterr().err
+
+
+NO_VERTICES = {k: v for k, v in ChamberGraph.apartment(3).to_json().items()
+               if k != "vertices"}
+
+
+@pytest.mark.parametrize("text", [json.dumps(NO_VERTICES), "null"],
+                         ids=["no-vertices", "null"])
+def test_slope_malformed_graph_exits_2(tmp_path, capsys, text):
+    raw = tmp_path / "bad.json"
+    raw.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chambers": [[0, 1]], "weights": [["1", "0"]]}))
+    assert main(["slope", "--graph", str(raw), "--config", str(cfg)]) == 2
+    assert "malformed graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chambers", [[["a", "b"]], [[0, 1, 2]]],
+                         ids=["str-endpoints", "three-endpoints"])
+def test_slope_malformed_chambers_exit_2(tmp_path, capsys, chambers):
+    raw = tmp_path / "g.json"
+    raw.write_text(json.dumps(ChamberGraph.apartment(3).to_json()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chambers": chambers, "weights": [["1", "0"]]}))
+    assert main(["slope", "--graph", str(raw), "--config", str(cfg)]) == 2
+    assert "malformed config" in capsys.readouterr().err
+
+
 # -- exit codes and verify -------------------------------------------------------------------------
 
 def test_usage_errors_exit_2(tmp_path, capsys):
