@@ -204,6 +204,9 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    for name in ("stages", "cap"):
+        if getattr(args, name) < 0:
+            raise InvalidParameterError(f"--{name} must be nonnegative")
     graph = ChamberGraph.apartment(args.n, seed=args.seed)
     tup = find_antipodal_tuple(graph, args.m, budget=_budget(None))
     graph = tup.graph

@@ -11,15 +11,16 @@ Two ground fields are supported.
   theta denotes t + 1/t.
 
 Elements are coefficient vectors over the power basis 1, theta, ...,
-theta**(degree-1) with Fraction entries, reduced modulo the minimal
-polynomial of theta.  Signs are decided exactly: zero by coefficient
-comparison, nonzero by a float estimate confirmed through interval
-arithmetic at increasing precision.
+theta**(degree-1), reduced modulo the minimal polynomial of theta and
+stored as integer numerators over one common positive denominator.  Signs
+are decided exactly: zero by coefficient comparison, nonzero by a float
+estimate confirmed through interval arithmetic at increasing precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -27,9 +28,6 @@ import mpmath
 from .errors import InvalidParameterError, UnsupportedModeError, VerificationError
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +150,17 @@ class FieldDescriptor:
         elif mode == "hyperbolic":
             assert t is not None and t > 0
             theta = t + 1 / t
-            self.min_poly = (-theta, _ONE)
+            self.min_poly = (-theta, Fraction(1))
             self.degree = 1
         else:
             raise InvalidParameterError(f"unknown mode {mode!r}")
         # n_t: order of t**2 in C^*; None encodes infinity
         self.n_t: int | None = n if mode == "cyclotomic" else None
         self._pow_rows = self._reduction_rows()
-        self.zero = FieldElement(self, (_ZERO,) * self.degree)
-        self.one = FieldElement(self, (_ONE,) + (_ZERO,) * (self.degree - 1))
+        self.zero = self.from_rational(0)
+        self.one = self.from_rational(1)
         if self.degree > 1:
-            coeffs = [_ZERO] * self.degree
-            coeffs[1] = _ONE
-            self.theta = FieldElement(self, tuple(coeffs))
+            self.theta = _element(self, (0, 1) + (0,) * (self.degree - 2), 1)
         else:
             self.theta = FieldElement(self, (-self.min_poly[0],))
         self._theta_float = self._compute_theta_float()
@@ -191,21 +187,23 @@ class FieldDescriptor:
             acc = acc * x + mpmath.mpf(c.numerator) / c.denominator
         return acc
 
-    def _reduction_rows(self) -> list[tuple[Fraction, ...]]:
-        # rows[e - degree] = coefficients of theta**e reduced, for e in [degree, 2*degree-2]
+    def _reduction_rows(self) -> list[tuple[int, ...]]:
+        # rows[e - degree] = coefficients of theta**e reduced, for e in
+        # [degree, 2*degree-2]; only cyclotomic fields have degree > 1, and
+        # their minimal polynomial is monic with integer coefficients
         d = self.degree
-        rows: list[tuple[Fraction, ...]] = []
+        rows: list[tuple[int, ...]] = []
         if d == 1:
             return rows
-        cur = [-c for c in self.min_poly[:d]]
+        low = [int(c) for c in self.min_poly[:d]]
+        cur = [-c for c in low]
         rows.append(tuple(cur))
         for _ in range(d - 2):
-            shifted = [_ZERO] + cur[:-1]
             top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
                 for i in range(d):
-                    shifted[i] -= top * self.min_poly[i]
-            cur = shifted
+                    cur[i] -= top * low[i]
             rows.append(tuple(cur))
         return rows
 
@@ -225,8 +223,10 @@ class FieldDescriptor:
         return FieldElement(self, vec)
 
     def from_rational(self, value: Rational) -> FieldElement:
-        return FieldElement(
-            self, (Fraction(value),) + (_ZERO,) * (self.degree - 1))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _element(self, (value.numerator,) + (0,) * (self.degree - 1),
+                        value.denominator)
 
     def two_cos(self, k: int) -> FieldElement:
         """The element 2*cos(2*pi*k/N) (cyclotomic mode only)."""
@@ -317,13 +317,50 @@ def real_cyclotomic(N: int) -> FieldDescriptor:
 # elements
 # ---------------------------------------------------------------------------
 
-class FieldElement:
-    __slots__ = ("descr", "coeffs", "_sign")
+_new = object.__new__
 
-    def __init__(self, descr: FieldDescriptor, coeffs: tuple[Fraction, ...]):
+
+def _element(descr: FieldDescriptor, num: tuple[int, ...],
+             den: int) -> FieldElement:
+    # the element num/den for den > 0, with the common factor divided out
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([c // g for c in num])
+        den //= g
+    e = _new(FieldElement)
+    e.descr = descr
+    e.num = num
+    e.den = den
+    e._sign = None
+    return e
+
+
+class FieldElement:
+    """The element sum(num[i] * theta**i) / den of descr's field.
+
+    num holds degree integers and den is a positive integer with
+    gcd(den, *num) == 1, so each element has exactly one representation
+    and == and hash compare the stored integers.  The constructor takes
+    rational coefficients (ints or Fractions); .coeffs returns them as
+    Fractions.
+    """
+
+    __slots__ = ("descr", "num", "den", "_sign")
+
+    def __init__(self, descr: FieldDescriptor, coeffs: Sequence[Rational]):
+        # over the lcm of lowest-terms denominators the numerators are
+        # already coprime to it
+        coeffs = tuple(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
         self.descr = descr
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
         self._sign: int | None = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- ring operations ----------------------------------------------------
 
@@ -336,12 +373,19 @@ class FieldElement:
             return self.descr.from_rational(other)
         return None
 
+    def _plus(self, o: "FieldElement", s: int) -> "FieldElement":
+        # self + s*o for s in (1, -1), over the lcm of the denominators
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        sa, sb = db // g, da // g * s
+        return _element(self.descr, tuple(
+            [a * sa + b * sb for a, b in zip(self.num, o.num)]), da * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.descr, tuple(
-            a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -349,55 +393,55 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.descr, tuple(
-            a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._plus(self, -1)
 
     def __neg__(self):
-        return FieldElement(self.descr, tuple(-a for a in self.coeffs))
+        return _element(self.descr, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
                 return self.descr.zero
-            f = Fraction(other)
-            return FieldElement(self.descr, tuple(a * f for a in self.coeffs))
+            p = other.numerator
+            return _element(self.descr, tuple([a * p for a in self.num]),
+                            self.den * other.denominator)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self.descr.degree
+        descr = self.descr
+        d = descr.degree
         if d == 1:
-            return FieldElement(self.descr, (self.coeffs[0] * o.coeffs[0],))
-        prod = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
+            return _element(descr, (self.num[0] * o.num[0],),
+                            self.den * o.den)
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(o.coeffs):
-                    if bj:
-                        prod[i + j] += ai * bj
+                for j, bj in enumerate(o.num):
+                    prod[i + j] += ai * bj
         out = prod[:d]
-        rows = self.descr._pow_rows
-        for e in range(d, 2 * d - 1):
-            ce = prod[e]
+        for ce, row in zip(prod[d:], descr._pow_rows):
             if ce:
-                row = rows[e - d]
                 for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += ce * ri
-        return FieldElement(self.descr, tuple(out))
+                    out[i] += ce * ri
+        return _element(descr, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return FieldElement(self.descr, tuple(a / f for a in self.coeffs))
+            p, q = other.denominator, other.numerator
+            if q < 0:
+                p, q = -p, -q
+            return _element(self.descr, tuple([a * p for a in self.num]),
+                            self.den * q)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -426,61 +470,53 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        d = self.descr.degree
+        descr = self.descr
+        d = descr.degree
         if d == 1:
-            return FieldElement(self.descr, (1 / self.coeffs[0],))
-        # extended Euclid: u*self + v*min_poly = gcd (a nonzero constant)
-        a = list(self.coeffs)
-        b = list(self.descr.min_poly)
-        ua: list[Fraction] = [_ONE]
-        ub: list[Fraction] = [_ZERO]
-        while True:
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) == 1:
-                inv_coeffs = [c / a[0] for c in ua[:d]]
-                inv_coeffs += [_ZERO] * (d - len(inv_coeffs))
-                return FieldElement(self.descr, tuple(inv_coeffs))
-            if not a:
-                raise ZeroDivisionError("inverse of zero")
-            # b = q*a + r; replace (a, b) by (r, a), tracking u-coefficients
-            q = [_ZERO] * (len(b) - len(a) + 1)
-            r = list(b)
-            for i in range(len(r) - 1, len(a) - 2, -1):
-                if r[i]:
-                    c = r[i] / a[-1]
-                    q[i - len(a) + 1] = c
-                    for j, aj in enumerate(a):
-                        r[i - len(a) + 1 + j] -= c * aj
-            while r and r[-1] == 0:
-                r.pop()
-            # new u = ub - q*ua (mod nothing; degrees stay < 2d)
-            qa = [_ZERO] * (len(q) + len(ua) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, uj in enumerate(ua):
-                        if uj:
-                            qa[i + j] += qi * uj
-            new_u = [_ZERO] * max(len(ub), len(qa))
-            for i, c in enumerate(ub):
-                new_u[i] += c
-            for i, c in enumerate(qa):
-                new_u[i] -= c
-            a, b = r, a
-            ua, ub = new_u, ua
+            a = self.num[0]
+            return _element(descr, (self.den if a > 0 else -self.den,), abs(a))
+        # (num/den)**-1 = den * x, where column j of the integer matrix M is
+        # num * theta**j and M x = e_0.  Fraction-free Gauss-Jordan (Bareiss)
+        # divides exactly by the previous pivot and leaves M = piv * I with
+        # the right-hand side piv * x.
+        theta_d = descr._pow_rows[0]  # theta**degree, reduced
+        cols = []
+        v = list(self.num)
+        for _ in range(d):
+            cols.append(v)
+            top = v[-1]
+            v = [0] + v[:-1]
+            if top:
+                for i, r in enumerate(theta_d):
+                    v[i] += top * r
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not rows[k][k]:
+                p = next(i for i in range(k + 1, d) if rows[i][k])
+                rows[k], rows[p] = rows[p], rows[k]
+            rk = rows[k]
+            pk = rk[k]
+            for i, ri in enumerate(rows):
+                if i != k:
+                    f = ri[k]
+                    rows[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
+            prev = pk
+        den = self.den if prev > 0 else -self.den
+        return _element(descr, tuple([den * r[d] for r in rows]), abs(prev))
 
     # -- predicates and conversions -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise UnsupportedModeError("element is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:
         if self._sign is None:
@@ -490,13 +526,15 @@ class FieldElement:
     def _compute_sign(self) -> int:
         if self.is_zero():
             return 0
+        # den > 0, so the sign is that of the numerator polynomial at theta
+        num = self.num
         if self.descr.degree == 1:
-            return 1 if self.coeffs[0] > 0 else -1
+            return 1 if num[0] > 0 else -1
         # float fast path with a crude magnitude-based error margin
         try:
             th = self.descr._theta_float
             val, mag, p = 0.0, 0.0, 1.0
-            for c in self.coeffs:
+            for c in num:
                 cf = float(c)
                 val += cf * p
                 mag += abs(cf) * abs(p)
@@ -513,8 +551,8 @@ class FieldElement:
                 iv.prec = prec
                 theta = 2 * iv.cos(2 * iv.pi / self.descr.N)
                 acc = iv.mpf(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * theta + iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                for c in reversed(num):
+                    acc = acc * theta + iv.mpf(c)
                 if acc > 0:
                     return 1
                 if acc < 0:
@@ -525,27 +563,30 @@ class FieldElement:
         raise ArithmeticError("sign undecided at maximum precision")
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def __float__(self) -> float:
+        # int / int rounds the exact quotient, as float(Fraction) does
         th = self.descr._theta_float
+        den = self.den
         val, p = 0.0, 1.0
-        for c in self.coeffs:
-            val += float(c) * p
+        for c in self.num:
+            val += c / den * p
             p *= th
         return val
 
     # -- comparisons ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.descr.from_rational(other)
         if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.descr is other.descr and self.coeffs == other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.descr.from_rational(other)
+        return (self.descr is other.descr and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((id(self.descr), self.coeffs))
+        return hash((id(self.descr), self.num, self.den))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -567,7 +608,7 @@ class FieldElement:
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"FieldElement({self.coeffs[0]})"
+            return f"FieldElement({self.as_fraction()})"
         return f"FieldElement{self.coeffs}"
 
     # -- serialization -----------------------------------------------------------

@@ -94,7 +94,7 @@ class _Tableau:
         row = self.rows[i]
         inv = self.one / row[j]
         if inv != self.one:
-            row[:] = [v * inv for v in row]
+            row[:] = [v * inv if v else v for v in row]
             self.b[i] = self.b[i] * inv
         bi = self.b[i]
         for k in range(self.m):
@@ -103,11 +103,11 @@ class _Tableau:
             f = self.rows[k][j]
             if f:
                 rk = self.rows[k]
-                rk[:] = [a - f * c for a, c in zip(rk, row)]
+                rk[:] = [a - f * c if c else a for a, c in zip(rk, row)]
                 self.b[k] = self.b[k] - f * bi
         f = cbar[j]
         if f:
-            cbar[:] = [a - f * c for a, c in zip(cbar, row)]
+            cbar[:] = [a - f * c if c else a for a, c in zip(cbar, row)]
         self.basis[i] = j
 
     def _run(self, cbar: list, allowed: int) -> str:

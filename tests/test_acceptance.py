@@ -4,9 +4,14 @@ Each test prints the suite's pass/fail line and asserts both the verdict
 and the suite's runtime budget.  Run with -s to see the lines.
 """
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
-from dihedralcalc.acceptance import SUITES, run_suite
+from dihedralcalc.acceptance import SUITES, _battery, run_suite
+from dihedralcalc.manifest import digest
 
 _cache: dict = {}
 
@@ -71,6 +76,58 @@ def test_criterion_09_semistability_round_trip():
 def test_criterion_10_determinism():
     result = _run("determinism", 600)
     assert result.details["artifacts"] == 14
+
+
+# Payload digests of the determinism battery's JSON artifacts and the
+# sha256 of the LaTeX body (the lines after its manifest comment, which
+# names the Python version).  A change that alters a payload on purpose
+# updates this table and says so in CHANGES.md.
+BATTERY_PINS = {
+    "at4.json":
+        "392a1d7f8a0ef8bf1b8d3fd4b3446ed63b2fa471b49be287feb28822ce016071",
+    "gr5.json":
+        "31794244ef1a2b7324128ec47b92108c7a5bced0b5aeecde5b237905df1c5db7",
+    "limit3.json":
+        "e08edd14aa82a8ac3a44b51f4b17b0c6181dff4206bc8608e3185844398911d3",
+    "bi4.json":
+        "79d779a05e9a9e915cbdf74766a1ae8bd7ffbeb09b0b54ba7041583562d9d0aa",
+    "wti33.json":
+        "1cb7216b781ae9bbf7b80c1eef2aeade1919d15699581c2efef134209f8ae1fb",
+    "sti33.json":
+        "fa2dc156201b42c0c1f077a9f7b6f550cf8f1bc9eb168b3a23b54c6059460bc2",
+    "km33.json":
+        "13b429d5a1a1eb0bff80cdc7db6c577533966a0c3d09db49b014a92f6c44834c",
+    "bk43.json":
+        "bbd3e729c6a0a11322e64f952db3e94a5b660a3fc4a8f07d21c221233dd5dbb9",
+    "wti43.tex":
+        "79a5ec0dc8361a381188dbe85192348a39f1efa7502853d8cda3bcd72214adcc",
+    "audit33.json":
+        "73d27d95a1c413c45e62788c67fcb7bedd520abf5fdbffac03410501d35ab38f",
+    "equal33.json":
+        "6e865d8acf222c18b289094bf24ecff192a74bb5b05f458f3781d779e33109e2",
+    "member.json":
+        "b446d5b4871bdc8847b0fc5ac514fba90a8d299be8249b8d10c517884a0154d1",
+    "build3.json":
+        "99471d37c06b361237948865b2c63f646ca49ecf6f5e1333d66fdf8377b35536",
+    "slope3.json":
+        "2e2f05b6bc3da1bb97e769ebd6bf09d8d4382d988605c268934511baa2fbb09b",
+}
+
+
+def test_battery_payloads_pinned(tmp_path):
+    found = {}
+    for path in map(pathlib.Path, _battery(tmp_path)):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            doc = json.loads(data)
+            assert doc["manifest"]["digests"]["payload"] == \
+                digest(doc["payload"])
+            found[path.name] = digest(doc["payload"])
+        else:
+            manifest, body = data.split(b"\n", 1)
+            assert manifest.startswith(b"% manifest: ")
+            found[path.name] = hashlib.sha256(body).hexdigest()
+    assert found == BATTERY_PINS
 
 
 def test_every_suite_registered():

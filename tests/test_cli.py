@@ -284,6 +284,22 @@ def test_slope_malformed_chambers_exit_2(tmp_path, capsys, chambers):
     assert "malformed config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--stages", "--cap"])
+def test_build_negative_count_exits_2(tmp_path, capsys, flag):
+    argv = {"--stages": "1", "--cap": "64"}
+    argv[flag] = "-1"
+    assert main(["build", "--n", "3", "--seed", "0",
+                 "--stages", argv["--stages"], "--cap", argv["--cap"],
+                 "--dest", str(tmp_path / "g.json")]) == 2
+    assert f"{flag} must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_build_cap_zero_is_valid(tmp_path):
+    run(tmp_path, "build", "--n", "3", "--stages", "1", "--seed", "0",
+        "--cap", "0", "--dest", str(tmp_path / "g.json"))
+
+
 # -- exit codes and verify -------------------------------------------------------------------------
 
 def test_usage_errors_exit_2(tmp_path, capsys):

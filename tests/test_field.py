@@ -152,6 +152,101 @@ def test_division(data, n):
         assert b * b.inverse() == descr.one
 
 
+# fields of degree 1, 2, 8 and 16 (field_init(n) has degree n for n = 2, 8,
+# 16) and a hyperbolic field with rational theta
+REFERENCE_FIELDS = {
+    "N6": lambda: real_cyclotomic(6),
+    "n2": lambda: field_init(2),
+    "n8": lambda: field_init(8),
+    "n16": lambda: field_init(16),
+    "t3/2": lambda: field_init(t=Fraction(3, 2)),
+}
+
+
+def reference_mul(descr, a, b):
+    # schoolbook product of Fraction vectors, reduced modulo the monic min_poly
+    d = descr.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for e in range(2 * d - 2, d - 1, -1):
+        c = prod[e]
+        for i, m in enumerate(descr.min_poly):
+            prod[e - d + i] -= c * m
+    return tuple(prod[:d])
+
+
+def assert_canonical(descr, e):
+    assert len(e.num) == descr.degree
+    assert all(isinstance(c, int) for c in e.num)
+    assert isinstance(e.den, int) and e.den > 0
+    assert math.gcd(e.den, *e.num) == 1
+
+
+def wide_fraction():
+    return st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                        max_denominator=10 ** 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
+def test_integer_form_matches_fraction_reference(name, data):
+    descr = REFERENCE_FIELDS[name]()
+    d = descr.degree
+    vec = st.lists(st.one_of(st.just(Fraction(0)), wide_fraction()),
+                   min_size=d, max_size=d)
+    ca, cb = data.draw(vec), data.draw(vec)
+    a, b = descr.element(ca), descr.element(cb)
+    assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+    results = {
+        "+": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+        "-": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+        "*": (a * b, reference_mul(descr, ca, cb)),
+    }
+    for op, (got, want) in results.items():
+        assert_canonical(descr, got)
+        assert got.coeffs == want, op
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    else:
+        inv, quot = b.inverse(), a / b
+        assert_canonical(descr, inv)
+        assert_canonical(descr, quot)
+        one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        assert reference_mul(descr, cb, inv.coeffs) == one
+        assert reference_mul(descr, cb, quot.coeffs) == tuple(ca)
+    # the same value reached along another route is stored identically
+    k = data.draw(st.integers(min_value=2, max_value=10 ** 6))
+    scaled = descr.element([c * k for c in ca]) / k
+    assert_canonical(descr, scaled)
+    assert scaled == a and hash(scaled) == hash(a)
+    assert (a == b) == (tuple(ca) == tuple(cb))
+    for e in (a, a * b):
+        back = element_from_json(descr, e.to_json())
+        assert back == e and back.to_json() == e.to_json()
+
+
+def test_sign_beyond_float_range():
+    # coefficients near 10**400 overflow float(); the interval path decides
+    scale = 10 ** 400
+    for n, square in ((2, 2), (3, 3)):  # theta = sqrt(2), sqrt(3)
+        descr = field_init(n)
+        low = Fraction(math.isqrt(square * scale * scale), scale)
+        high = low + Fraction(1, scale)
+        for e, want in ((descr.theta - low, 1), (descr.theta - high, -1),
+                        (low - descr.theta, -1),
+                        (descr.theta * scale - low * scale, 1),
+                        (descr.theta * scale - (descr.theta * scale), 0)):
+            if want:
+                with pytest.raises(OverflowError):
+                    float(max(e.num, key=abs))
+            assert sign_of(e) == want
+        assert low < descr.theta < high
+
+
 def test_powers():
     descr = field_init(5)
     th = descr.theta
