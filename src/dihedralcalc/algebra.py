@@ -10,7 +10,7 @@ infinite and products are only defined up to a configurable degree cap.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapExceededError, InvalidParameterError, UnsupportedModeError
 from .field import (
@@ -42,9 +42,6 @@ class AlgebraContext:
 
     def unit(self) -> Element:
         return {self.group.identity: self.descr.one}
-
-    def zero(self) -> Element:
-        return {}
 
     def basis(self, max_length: int | None = None) -> list[WeylElement]:
         if max_length is None and self.n_t is None:
@@ -141,9 +138,6 @@ class AlgebraContext:
             acc = self.mul(acc, self.sigma(w))
         return acc
 
-    def structure_const(self, ws: Iterable[WeylElement], y: WeylElement) -> FieldElement:
-        return self.product_chain(ws).get(y, self.descr.zero)
-
     def power(self, a: Element, k: int) -> Element:
         out = self.unit()
         for _ in range(k):
@@ -181,11 +175,6 @@ class AlgebraContext:
                     t_power_sum(self.descr, w.length) * c)
         return out
 
-    def weyl_action(self, w: WeylElement, a: Element) -> Element:
-        for i in reversed(self.group.word(w)):
-            a = self.weyl_action_gen(i, a)
-        return a
-
     # -- export -------------------------------------------------------------------
 
     def table_json(self) -> dict:
@@ -211,12 +200,3 @@ def _label(w: WeylElement) -> str:
     if w.side is None:
         return "w0"
     return f"{w.length}.{w.side}"
-
-
-def parse_label(s: str, group: DihedralGroup) -> WeylElement:
-    if s == "e":
-        return group.identity
-    if s == "w0":
-        return group.longest
-    ln, side = s.split(".")
-    return group.element(int(ln), int(side))

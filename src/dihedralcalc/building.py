@@ -25,10 +25,9 @@ import collections
 import copy as _copy
 import csv
 import io
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import DominantWeight, gen_wti, is_member, pairing_columns, small_field
 from .errors import BudgetExceededError, DomainError, InvalidParameterError, VerificationError
@@ -279,28 +278,6 @@ def graph_metrics(g: ChamberGraph) -> dict:
         "valence_max": max(valences),
         "valence_mean": sum(valences) / len(valences),
     }
-
-
-def check_n1_isometric(
-    old: ChamberGraph,
-    new: ChamberGraph,
-    vertex_map: dict[int, int] | None = None,
-) -> bool:
-    """Whether pairs at distance < n-1 in ``old`` keep their distance in ``new``.
-
-    The stage maps of a free construction must be (n-1)-isometric: growth may
-    shorten long distances but must never disturb the local structure.
-    """
-    f = vertex_map if vertex_map is not None else {v: v for v in range(old.num_vertices)}
-    radius = old.n - 2
-    for u in range(old.num_vertices):
-        dist_old = old.distances(u, limit=radius)
-        dist_new = new.distances(f[u], limit=radius)
-        for v, d in enumerate(dist_old):
-            if d is not None and 0 < d <= radius:
-                if dist_new[f[v]] != d:
-                    return False
-    return True
 
 
 # -- free growth operations --------------------------------------------------

@@ -88,7 +88,11 @@ def _finite(value: Any) -> Any:
 
 def _read_json(path: str) -> tuple[dict, str]:
     data = Path(path).read_bytes()
-    return json.loads(data), hashlib.sha256(data).hexdigest()
+    try:
+        doc = json.loads(data)
+    except RecursionError:
+        raise InvalidParameterError(f"{path}: JSON nested too deeply")
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _parse_weights(doc: dict) -> list[DominantWeight]:
@@ -232,6 +236,8 @@ def _load_graph(doc: dict) -> ChamberGraph:
 
 
 def _cmd_slope(args) -> int:
+    if args.within is not None and args.within < 0:
+        raise InvalidParameterError("--within must be nonnegative")
     graph_doc, graph_sha = _read_json(args.graph)
     graph = _load_graph(graph_doc)
     config_doc, config_sha = _read_json(args.config)

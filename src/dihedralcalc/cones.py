@@ -81,12 +81,6 @@ def chebyshev_ratio(n: int, j: int):
     return theta * chebyshev_ratio(n, j - 1) - chebyshev_ratio(n, j - 2)
 
 
-def vertex_ray(n: int, k: int):
-    """Ray coordinates of vertex k: v_k = r(1-k)*z1 + r(k)*z2."""
-    k = k % (2 * n)
-    return chebyshev_ratio(n, 1 - k), chebyshev_ratio(n, k)
-
-
 def vertex_cartesian(descr: FieldDescriptor, k: int):
     """Unit vector of vertex k in the ambient cyclotomic field."""
     n = descr.n
@@ -115,24 +109,8 @@ class DominantWeight:
             return self
         return DominantWeight(self.b, self.a)
 
-    def cartesian(self, descr: FieldDescriptor):
-        n = descr.n
-        half = Fraction(1, 2)
-        x = descr.from_rational(self.a) + descr.two_cos(2) * (self.b * half)
-        y = descr.two_cos(n - 2) * (self.b * half)
-        return x, y
-
     def to_json(self) -> list[str]:
         return [str(self.a), str(self.b)]
-
-
-def theta_weights(weights: Sequence[DominantWeight], n: int) -> list[DominantWeight]:
-    """Star the first len-1 slots, keep the last; an involution."""
-    if not weights:
-        return []
-    out = [w.star(n) for w in weights[:-1]]
-    out.append(weights[-1])
-    return out
 
 
 # -- inequalities -------------------------------------------------------------
@@ -206,12 +184,6 @@ class InequalitySystem:
 
     def rows(self) -> list[tuple]:
         return [self.row(q.key) for q in self.inequalities]
-
-    def find(self, key: tuple[int, ...]) -> LinearInequality | None:
-        for q in self.inequalities:
-            if q.key == key:
-                return q
-        return None
 
 
 def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
@@ -425,28 +397,6 @@ def theta_system(system: InequalitySystem) -> InequalitySystem:
     return _dedup_system(system.n, system.slots, tagged, meta)
 
 
-def star_system(system: InequalitySystem) -> InequalitySystem:
-    """Apply the chamber involution to every slot simultaneously."""
-    g = _group(system.n)
-    tagged = [(tuple(g.star_index(k) for k in q.key), q.tag)
-              for q in system.inequalities]
-    meta = dict(system.meta)
-    meta.pop("merged", None)
-    meta.pop("count", None)
-    return _dedup_system(system.n, system.slots, tagged, meta)
-
-
-def permute_system(system: InequalitySystem, perm: Sequence[int]) -> InequalitySystem:
-    if sorted(perm) != list(range(system.slots)):
-        raise InvalidParameterError("perm must shuffle all slots")
-    tagged = [(tuple(q.key[p] for p in perm), q.tag)
-              for q in system.inequalities]
-    meta = dict(system.meta)
-    meta.pop("merged", None)
-    meta.pop("count", None)
-    return _dedup_system(system.n, system.slots, tagged, meta)
-
-
 def a1_product_system(m: int = 3) -> InequalitySystem:
     """Direct n = 2 oracle: two independent one-variable triangle systems.
 
@@ -537,60 +487,33 @@ class ConeLPResult:
     iterations: int = 0
 
 
-def _as_row(system: InequalitySystem, objective) -> tuple:
-    if isinstance(objective, LinearInequality):
-        return system.row(objective.key)
-    objective = tuple(objective)
-    if len(objective) == system.slots and all(isinstance(k, int) for k in objective):
-        return system.row(objective)
-    if len(objective) == 2 * system.slots:
-        return objective
-    raise InvalidParameterError("objective must be a key or a covector row")
+def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
+    """Maximize a covector row over the solution cone of the system.
 
-
-def lp_optimize(system: InequalitySystem, objective, *,
-                normalize: bool = True) -> ConeLPResult:
-    """Maximize a linear functional over the solution cone of the system.
-
-    The cone lives in dominant coordinates (all 2*slots variables >= 0).
-    With normalize=True the coordinate sum is pinned to 1, which bounds the
-    cone section, so the answer is "optimal" or "infeasible"; without it the
-    homogeneous answer is 0 or "unbounded".  Solved through the dual so the
+    The cone lives in dominant coordinates (all 2*slots variables >= 0) and
+    the coordinate sum is pinned to 1, which bounds the cone section, so the
+    answer is "optimal" or "infeasible".  Solved through the dual so the
     tableau height stays at 2*slots; the returned vertex is re-checked
     exactly against every constraint.
     """
     fld = small_field(system.n)
     zero, one = fld.zero, fld.one
-    obj = [c + zero for c in _as_row(system, objective)]
+    obj = [c + zero for c in row]
     rows = system.rows()
     d = 2 * system.slots
     r = len(rows)
 
-    cols = r + 2 if normalize else r
-    g = []
-    for c in range(d):
-        line = [-rows[i][c] for i in range(r)]
-        if normalize:
-            line.append(-one)
-            line.append(one)
-        g.append(line)
+    g = [[-rows[i][c] for i in range(r)] + [-one, one] for c in range(d)]
     rhs = [-c for c in obj]
-    cost = [zero] * r + ([-one, one] if normalize else [])
+    cost = [zero] * r + [-one, one]
 
     res = lp_solve(g, rhs, cost, zero=zero)
     if res.status == "unbounded":
         return ConeLPResult("infeasible", iterations=res.iterations)
     if res.status == "infeasible":
-        if not normalize:
-            # nothing dominates the functional: it grows along some ray
-            return ConeLPResult("unbounded", iterations=res.iterations)
         probe = lp_solve(g, [zero] * d, cost, zero=zero)
         status = "unbounded" if probe.status == "optimal" else "infeasible"
         return ConeLPResult(status, iterations=res.iterations + probe.iterations)
-
-    if not normalize:
-        witness = [(zero, zero) for _ in range(system.slots)]
-        return ConeLPResult("optimal", zero, witness, res.iterations)
 
     optimum = -res.optimum
     z = res.dual
@@ -644,10 +567,6 @@ class AuditReport:
     @property
     def redundant(self) -> int:
         return sum(1 for e in self.entries if e.status == "redundant")
-
-    @property
-    def all_facets(self) -> bool:
-        return self.redundant == 0
 
 
 def redundancy_audit(system: InequalitySystem) -> AuditReport:

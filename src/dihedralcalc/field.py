@@ -34,16 +34,6 @@ Rational = Union[int, Fraction]
 # integer polynomial helpers (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _poly_div_exact_int(num: Sequence[int], den: Sequence[int]) -> list[int]:
     # den must be monic and divide num exactly
     num = list(num)
@@ -586,6 +576,9 @@ class FieldElement:
                 and self.num == other.num)
 
     def __hash__(self) -> int:
+        # rational elements compare equal to int and Fraction, so hash alike
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((id(self.descr), self.num, self.den))
 
     def _cmp(self, other) -> int:
@@ -724,27 +717,14 @@ def t_binomial(descr: FieldDescriptor, m: int, k: int) -> FieldElement:
 
 
 def q_number(descr: FieldDescriptor, k: int) -> FieldElement:
-    """The q-integer [k]_q with q = t**(1/2).
+    """The q-integer [k]_q with q = t**(1/2), in cyclotomic mode.
 
-    Cyclotomic mode: q + 1/q = theta, so the usual recurrence applies.
-    Hyperbolic mode: only odd k lies in Q(t); even k needs sqrt(t) and
-    raises UnsupportedModeError.
+    q + 1/q = theta, so the usual recurrence applies.  Hyperbolic mode
+    raises UnsupportedModeError: even k needs sqrt(t), and q_number_squared
+    covers what the weightings need.
     """
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    if descr.mode == "hyperbolic":
-        if k % 2 == 0 and k != 0:
-            raise UnsupportedModeError(
-                "[k]_q with even k is irrational for rational t")
-        # [2m+1]_q = sum of t**j for j in [-m, m]
-        mhalf = (k - 1) // 2 if k else 0
-        if k == 0:
-            return descr.zero
-        val = Fraction(1)
-        for j in range(1, mhalf + 1):
-            tj = descr.t ** j
-            val += tj + 1 / tj
-        return descr.from_rational(val)
     if descr.n is None:
         raise UnsupportedModeError("descriptor has no t-structure")
     cache = descr._q_numbers

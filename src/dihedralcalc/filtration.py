@@ -1,6 +1,6 @@
 """Concave length weightings on the Schubert basis and the products they
-induce: the associated graded algebra, a one-parameter deformation family,
-and the coefficient-collapsing limit that lands in the homology pre-rings.
+induce: the associated graded algebra and the coefficient-collapsing limit
+that lands in the homology pre-rings.
 
 The weighting assigns phi(w) = -G(len(w)) on the full basis, where
 G(x) = ([x]_q)^2, or phi_i(w) = -F(len(w)) on a one-sided subalgebra,
@@ -9,11 +9,10 @@ against the structure constants: phi(u) + phi(v) >= phi(w) whenever
 sigma_w appears in sigma_u sigma_v, with equality exactly for unit factors
 or complementary top-degree pairs.
 
-Products:
+Both products are degenerations of the family that scales each term
+sigma_w of sigma_u sigma_v by tau^(phi(u) + phi(v) - phi(w)):
 
 - gr_mul keeps the equality-level terms only (the tau -> 0 degeneration);
-- deform_mul tags each term with the formal exponent
-  phi(u) + phi(v) - phi(w) of the deformation parameter;
 - limit_table sends tau -> infinity, collapsing coefficients to
   {0, 1, inf}; the result matches the flag pre-ring under w -> pd(w) and,
   on a one-sided subalgebra, the one-type pre-ring under
@@ -23,7 +22,6 @@ Products:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import AlgebraContext, Element, _label
 from .errors import (
@@ -166,64 +164,6 @@ def gr_product(weighting: ConcaveWeighting, a: Element, b: Element) -> Element:
                     out.pop(w, None)
                 else:
                     out[w] = new
-    return out
-
-
-def deform_mul(weighting: ConcaveWeighting, u: WeylElement,
-               v: WeylElement) -> dict:
-    """Product in the deformation family, kept formal: each surviving term
-    is w -> (exponent, coefficient) standing for tau^exponent * coefficient.
-    Exponents are field elements and nonnegative by concavity."""
-    out = {}
-    for w, c in weighting.alg.mul_basis(u, v).items():
-        out[w] = (_deformation_exponent(weighting, u, v, w), c)
-    return out
-
-
-def _rational_power(base: Fraction, exp: Fraction) -> Fraction | None:
-    if exp < 0:
-        base, exp = 1 / base, -exp
-    if exp.denominator == 1:
-        return base ** exp.numerator
-    num = _integer_root(base.numerator, exp.denominator)
-    den = _integer_root(base.denominator, exp.denominator)
-    if num < 0 or den < 0:
-        return None
-    return Fraction(num, den) ** exp.numerator
-
-
-def _integer_root(m: int, k: int) -> int:
-    r = round(m ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == m:
-            return cand
-    return -1
-
-
-def evaluate_deform(weighting: ConcaveWeighting, formal: dict,
-                    tau: Fraction) -> Element:
-    """Numeric specialization of a formal deformed product.  Only exponents
-    that are rational with an exact rational tau-power are accepted."""
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise InvalidParameterError("tau must be positive")
-    descr = weighting.alg.descr
-    out: Element = {}
-    for w, (exp, c) in formal.items():
-        if tau == 1:
-            if not c.is_zero():
-                out[w] = c
-            continue
-        if not exp.is_rational():
-            raise UnsupportedModeError(
-                "deformation exponent is irrational; keep the product formal")
-        power = _rational_power(tau, exp.as_fraction())
-        if power is None:
-            raise UnsupportedModeError(
-                f"tau = {tau} has no exact rational power {exp.as_fraction()}")
-        value = c * descr.from_rational(power)
-        if not value.is_zero():
-            out[w] = value
     return out
 
 

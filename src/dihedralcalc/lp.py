@@ -1,11 +1,12 @@
 """Exact linear programming over an ordered field.
 
 A small two-phase tableau simplex used by the cone audits.  All pivoting
-decisions are exact: the value type can be Fraction or FieldElement (or
-anything with field operators and exact comparisons).  Bland's rule picks
-both the entering and the leaving variable, so the iteration cannot cycle.
+decisions are exact: the value type is that of the ``zero`` the caller
+passes, such as Fraction(0) or a field's zero (anything with field operators
+and exact comparisons).  Bland's rule picks both the entering and the
+leaving variable, so the iteration cannot cycle.
 
-Solves  max/min c.x  subject to  A x <= b, x >= 0  and reports one of
+Solves  max c.x  subject to  A x <= b, x >= 0  and reports one of
 "optimal" (with a vertex witness and row multipliers), "unbounded", or
 "infeasible".
 """
@@ -13,7 +14,6 @@ Solves  max/min c.x  subject to  A x <= b, x >= 0  and reports one of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidParameterError
@@ -26,18 +26,6 @@ class LPResult:
     witness: list | None = None  # x values, one per structural variable
     dual: list | None = None  # row multipliers for the maximization form
     iterations: int = 0
-
-
-def _find_zero(objective, rhs, rows):
-    for group in (objective, rhs):
-        for v in group:
-            if not isinstance(v, int):
-                return v * 0
-    for row in rows:
-        for v in row:
-            if not isinstance(v, int):
-                return v * 0
-    return Fraction(0)
 
 
 class _Tableau:
@@ -185,8 +173,8 @@ class _Tableau:
 
 
 def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
-             *, maximize: bool = True, zero=None) -> LPResult:
-    """Exact simplex for  opt c.x  s.t.  rows[i].x <= rhs[i], x >= 0.
+             *, zero) -> LPResult:
+    """Exact simplex for  max c.x  s.t.  rows[i].x <= rhs[i], x >= 0.
 
     The dual list contains one multiplier per constraint row, normalized for
     the maximization form: y >= 0, y.A >= c componentwise on the support of
@@ -199,20 +187,14 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     for row in rows:
         if len(row) != d:
             raise InvalidParameterError("row width must match objective")
-    if zero is None:
-        zero = _find_zero(objective, rhs, rows)
     one = zero + 1
     cvec = [c + zero for c in objective]
-    if not maximize:
-        cvec = [-c for c in cvec]
 
     if m == 0:
         # only x >= 0: optimum at 0 unless some cost coefficient is positive
         if any(c > zero for c in cvec):
             return LPResult("unbounded")
-        value = zero
-        return LPResult("optimal", value if maximize else -value,
-                        [zero] * d, [], 0)
+        return LPResult("optimal", zero, [zero] * d, [], 0)
 
     t = _Tableau(rows, rhs, zero, one)
     if t.has_artificials and not t.phase_one():
@@ -235,5 +217,4 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     dual = []
     for i in range(t.m):
         dual.append(zero if not t.active[i] else -cbar[d + i])
-    return LPResult("optimal", value if maximize else -value, x, dual,
-                    t.iterations)
+    return LPResult("optimal", value, x, dual, t.iterations)

@@ -1,8 +1,8 @@
 """Homology pre-rings of rank-2 buildings with 0/1/infinity coefficients.
 
-Coefficients live in the three-element system {0, 1, inf} over Z/2 (a
-modulus hook exists but only Z/2 is exercised): inf + inf is undefined and
-raises, 0 * inf = 0.  Two graded pre-rings are built on top:
+Coefficients live in the three-element system {0, 1, inf} over Z/2:
+inf + inf is undefined and raises, 0 * inf = 0.  Two graded pre-rings are
+built on top:
 
 - the Grassmannian one, basis C_0 .. C_{n-1}, unit C_{n-1};
 - the flag one, basis C_w indexed by Weyl elements with dim C_w = len(w),
@@ -20,7 +20,6 @@ the fact that a nonzero product splits through the two vertex types.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,12 +47,9 @@ class PreRingCoeff:
 
 
 class HatArithmetic:
-    """Coefficient pre-ring R + {inf} for R = Z/modulus."""
+    """Coefficient pre-ring Z/2 + {inf}."""
 
-    def __init__(self, modulus: int = 2):
-        if modulus < 2:
-            raise InvalidParameterError("modulus must be at least 2")
-        self.modulus = modulus
+    def __init__(self):
         self.zero = PreRingCoeff(True, 0)
         self.one = PreRingCoeff(True, 1)
         self.inf = PreRingCoeff(False)
@@ -61,7 +57,7 @@ class HatArithmetic:
     def coeff(self, value) -> PreRingCoeff:
         if value is None:
             return self.inf
-        return PreRingCoeff(True, value % self.modulus)
+        return PreRingCoeff(True, value % 2)
 
     def add(self, a: PreRingCoeff, b: PreRingCoeff) -> PreRingCoeff:
         if a.finite and b.finite:
@@ -78,40 +74,24 @@ class HatArithmetic:
         return self.coeff(a.residue * b.residue)
 
 
-Z2 = HatArithmetic(2)
-
-
-def hat_ops(a: PreRingCoeff, b: PreRingCoeff, op: str,
-            arith: HatArithmetic = Z2) -> PreRingCoeff:
-    if op == "add":
-        return arith.add(a, b)
-    if op == "mul":
-        return arith.mul(a, b)
-    raise InvalidParameterError(f"unknown op {op!r}")
-
-
-def coeff_from_json(doc: str, arith: HatArithmetic = Z2) -> PreRingCoeff:
-    if doc == "inf":
-        return arith.inf
-    return arith.coeff(int(doc))
+Z2 = HatArithmetic()
 
 
 class GrassPreRing:
     """Classes C_0 .. C_{n-1} of one vertex type; the unit is C_{n-1}."""
 
-    def __init__(self, n: int, arith: HatArithmetic = Z2):
+    def __init__(self, n: int):
         if n < 2:
             raise InvalidParameterError("n must be at least 2")
         self.n = n
         self.dim = n - 1
-        self.arith = arith
 
     def _check(self, r: int) -> None:
         if not 0 <= r <= self.dim:
             raise DomainError(f"degree {r} outside 0..{self.dim}")
 
     def unit(self) -> dict:
-        return {self.dim: self.arith.one}
+        return {self.dim: Z2.one}
 
     def pd(self, r: int) -> int:
         self._check(r)
@@ -121,27 +101,27 @@ class GrassPreRing:
         self._check(r1)
         self._check(r2)
         if r1 == self.dim:
-            return {r2: self.arith.one}
+            return {r2: Z2.one}
         if r2 == self.dim:
-            return {r1: self.arith.one}
+            return {r1: Z2.one}
         r3 = r1 + r2 - self.dim
         if r3 < 0:
             return {}
         if r3 == 0:
-            return {0: self.arith.one}
-        return {r3: self.arith.inf}
+            return {0: Z2.one}
+        return {r3: Z2.inf}
 
     def mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for r1, a in x.items():
             for r2, b in y.items():
-                ab = self.arith.mul(a, b)
+                ab = Z2.mul(a, b)
                 if ab.is_zero():
                     continue
                 for r3, c in self.mul_basis(r1, r2).items():
-                    c = self.arith.mul(ab, c)
+                    c = Z2.mul(ab, c)
                     if r3 in out:
-                        c = self.arith.add(out[r3], c)
+                        c = Z2.add(out[r3], c)
                     if c.is_zero():
                         out.pop(r3, None)
                     else:
@@ -151,7 +131,7 @@ class GrassPreRing:
     def product_chain(self, degrees: list[int]) -> dict:
         acc = self.unit()
         for r in degrees:
-            acc = self.mul(acc, {r: self.arith.one})
+            acc = self.mul(acc, {r: Z2.one})
             if not acc:
                 return {}
         return acc
@@ -160,66 +140,55 @@ class GrassPreRing:
 class FlagPreRing:
     """Classes C_w, dim C_w = len(w); the unit sits at the longest element."""
 
-    def __init__(self, n: int, arith: HatArithmetic = Z2):
+    def __init__(self, n: int):
         if n < 2:
             raise InvalidParameterError("n must be at least 2")
         self.n = n
-        self.arith = arith
         self.group = DihedralGroup(n)
 
     def basis(self) -> list[WeylElement]:
         return list(self.group.elements())
 
     def unit(self) -> dict:
-        return {self.group.longest: self.arith.one}
+        return {self.group.longest: Z2.one}
 
     def point(self) -> dict:
-        return {IDENTITY: self.arith.one}
+        return {IDENTITY: Z2.one}
 
     def pd(self, w: WeylElement) -> WeylElement:
         return self.group.pd(w)
 
-    def pullback(self, l: int, x: dict) -> dict:
-        """p_l^* : C_r of the type-l Grassmannian -> C_{r+1, l}."""
-        if l not in (1, 2):
-            raise InvalidParameterError("type must be 1 or 2")
-        out = {}
-        for r, a in x.items():
-            w = self.group.element(r + 1, l if r + 1 < self.n else None)
-            out[w] = a
-        return out
-
     def mul_basis(self, u: WeylElement, v: WeylElement) -> dict:
         n = self.n
         if u.length == n:
-            return {v: self.arith.one}
+            return {v: Z2.one}
         if v.length == n:
-            return {u: self.arith.one}
+            return {u: Z2.one}
         if u.length == 0 or v.length == 0:
             return {}  # the point class kills every non-unit
         r3 = u.length + v.length - n
         if u.side == v.side:
             if r3 <= 0:
                 return {}
-            return {self.group.element(r3, u.side): self.arith.inf}
+            return {self.group.element(r3, u.side): Z2.inf}
         if r3 < 0:
             return {}
         if r3 == 0:
-            return {IDENTITY: self.arith.one}
-        return {self.group.element(r3, 1): self.arith.inf,
-                self.group.element(r3, 2): self.arith.inf}
+            return {IDENTITY: Z2.one}
+        return {self.group.element(r3, 1): Z2.inf,
+                self.group.element(r3, 2): Z2.inf}
 
     def mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for u, a in x.items():
             for v, b in y.items():
-                ab = self.arith.mul(a, b)
+                ab = Z2.mul(a, b)
                 if ab.is_zero():
                     continue
                 for w, c in self.mul_basis(u, v).items():
-                    c = self.arith.mul(ab, c)
+                    c = Z2.mul(ab, c)
                     if w in out:
-                        c = self.arith.add(out[w], c)
+                        c = Z2.add(out[w], c)
                     if c.is_zero():
                         out.pop(w, None)
                     else:
@@ -235,7 +204,7 @@ class FlagPreRing:
         """
         n = self.n
         if sum(n - u.length for u in factors) != n:
-            return self.arith.zero
+            return Z2.zero
         sides = {1: [], 2: []}
         points = 0
         for u in factors:
@@ -248,22 +217,22 @@ class FlagPreRing:
         if points:
             # codegrees force everything else to be the unit
             if points == 1 and not sides[1] and not sides[2]:
-                return self.arith.one
-            return self.arith.zero
+                return Z2.one
+            return Z2.zero
         if not sides[1] or not sides[2]:
-            return self.arith.zero  # one-type chains never reach the point
-        value = self.arith.one
+            return Z2.zero  # one-type chains never reach the point
+        value = Z2.one
         dims = {}
         for l in (1, 2):
             acc = sides[l][0]
             for r in sides[l][1:]:
                 if acc + r <= n:
-                    return self.arith.zero
+                    return Z2.zero
                 acc = acc + r - n
-                value = self.arith.inf
+                value = Z2.inf
             dims[l] = acc
         if dims[1] + dims[2] != n:
-            return self.arith.zero
+            return Z2.zero
         return value
 
 
@@ -296,9 +265,3 @@ def enumerate_sigma(n: int, m: int, budget: int = 64) -> list[tuple]:
 
     rec((), n)
     return out
-
-
-def sigma_to_json(tuples: list[tuple]) -> str:
-    doc = [[{"len": u.length, "side": u.side} for u in tup]
-           for tup in tuples]
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)

@@ -12,7 +12,7 @@ O(1) integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError
 
@@ -104,8 +104,6 @@ class DihedralGroup:
     def gen(self, i: int) -> WeylElement:
         if i not in (1, 2):
             raise InvalidParameterError("generator index must be 1 or 2")
-        if self.n == 1:  # unreachable given n >= 2, kept for clarity
-            return WeylElement(1, None)
         return WeylElement(1, i)
 
     @property
@@ -113,16 +111,6 @@ class DihedralGroup:
         if self.n is None:
             raise InvalidParameterError("infinite group has no longest element")
         return WeylElement(self.n, None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.n is not None
-
-    @property
-    def order(self) -> int:
-        if self.n is None:
-            raise InvalidParameterError("infinite group")
-        return 2 * self.n
 
     # -- group law ---------------------------------------------------------
 
@@ -152,18 +140,6 @@ class DihedralGroup:
         out.reverse()
         return out
 
-    def from_word(self, word: Sequence[int]) -> WeylElement:
-        eps, c = 1, 0
-        for i in word:
-            if i == 1:
-                ge, gc = -1, 0
-            elif i == 2:
-                ge, gc = -1, 2
-            else:
-                raise InvalidParameterError("word letters must be 1 or 2")
-            eps, c = eps * ge, eps * gc + c
-        return self._from_map(eps, c)
-
     # -- enumeration ---------------------------------------------------------
 
     def elements(self, max_length: int | None = None) -> Iterator[WeylElement]:
@@ -181,20 +157,7 @@ class DihedralGroup:
                 yield WeylElement(ln, 1)
                 yield WeylElement(ln, 2)
 
-    def elements_of_length(self, ln: int) -> list[WeylElement]:
-        if ln == 0:
-            return [IDENTITY]
-        if self.n is not None and ln == self.n:
-            return [WeylElement(self.n, None)]
-        if self.n is not None and ln > self.n:
-            return []
-        return [WeylElement(ln, 1), WeylElement(ln, 2)]
-
-    # -- lengths, descents, duality ---------------------------------------------
-
-    def has_descent(self, w: WeylElement, i: int) -> bool:
-        """True if ell(w * s_i) < ell(w)."""
-        return self.compose(w, self.gen(i)).length < w.length
+    # -- one-sided lengths, duality ---------------------------------------------
 
     def ell_side(self, w: WeylElement, l: int) -> int:
         """One-sided length: min(ell(w), ell(w*s_l))."""
@@ -234,9 +197,3 @@ class DihedralGroup:
         if self.n % 2 == 0:
             return k % (2 * self.n)
         return (1 - k) % (2 * self.n)
-
-    def circular_vertex_distance(self, a: int, b: int) -> int:
-        if self.n is None:
-            return abs(a - b)
-        d = (a - b) % (2 * self.n)
-        return min(d, 2 * self.n - d)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedralcalc.algebra import AlgebraContext, parse_label
+from dihedralcalc.algebra import AlgebraContext
 from dihedralcalc.errors import CapExceededError
 from dihedralcalc.field import field_init, sign_of, t_factorial, t_number
 from dihedralcalc.weyl import WeylElement
@@ -205,7 +205,6 @@ def test_mixed_triples_reach_top_class(n):
         prod = context.product_chain(tup)
         top = prod.get(context.group.longest, context.descr.zero)
         assert not top.is_zero()
-        assert context.structure_const(tup, context.group.longest) == top
 
 
 def test_product_chain_unit_and_truncation():
@@ -353,15 +352,6 @@ def test_weyl_action_hyperbolic():
     assert context.weyl_action_gen(1, acted) == s
 
 
-def test_weyl_action_full_word():
-    context = ctx(5)
-    w = context.group.element(3, 2)
-    a = context.sigma(WeylElement(2, 1))
-    acted = context.weyl_action(w, a)
-    # applying the inverse word must return the original
-    assert context.weyl_action(context.group.inverse(w), acted) == a
-
-
 # ---------------------------------------------------------------------------
 # caps, subalgebras, export
 # ---------------------------------------------------------------------------
@@ -396,10 +386,3 @@ def test_table_json_deterministic():
         {"w": "2.1", "coeff": ["1", "0"]},
         {"w": "2.2", "coeff": ["1", "0"]},
     ]
-
-
-def test_parse_label_roundtrip():
-    context = ctx(4)
-    for w in context.basis():
-        from dihedralcalc.algebra import _label
-        assert parse_label(_label(w), context.group) == w

@@ -16,7 +16,6 @@ from dihedralcalc.building import (
     bar_step,
     census_rounds,
     census_to_csv,
-    check_n1_isometric,
     construct_semistable,
     find_antipodal_tuple,
     girth,
@@ -45,6 +44,23 @@ from dihedralcalc.prering import GrassPreRing
 
 def W(a, b):
     return DominantWeight(Fraction(a), Fraction(b))
+
+
+def check_n1_isometric(old, new):
+    """Whether pairs at distance < n-1 in ``old`` keep their distance in ``new``.
+
+    The stage maps of a free construction must be (n-1)-isometric: growth may
+    shorten long distances but must never disturb the local structure.
+    Growth keeps vertex ids, so the stage map is the identity on ids.
+    """
+    radius = old.n - 2
+    for u in range(old.num_vertices):
+        dist_old = old.distances(u, limit=radius)
+        dist_new = new.distances(u, limit=radius)
+        for v, d in enumerate(dist_old):
+            if d is not None and 0 < d <= radius and dist_new[v] != d:
+                return False
+    return True
 
 
 # -- graph primitives ---------------------------------------------------------

@@ -284,6 +284,33 @@ def test_slope_malformed_chambers_exit_2(tmp_path, capsys, chambers):
     assert "malformed config" in capsys.readouterr().err
 
 
+def test_slope_negative_within_exits_2(tmp_path, capsys):
+    raw = tmp_path / "g.json"
+    raw.write_text(json.dumps(ChamberGraph.apartment(3).to_json()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chambers": [[0, 1]], "weights": [["1", "0"]]}))
+    argv = ["slope", "--graph", str(raw), "--config", str(cfg), "--within"]
+    assert main(argv + ["-1"]) == 2
+    assert "--within must be nonnegative" in capsys.readouterr().err
+    assert main(argv + ["0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["member", "slope"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    if command == "member":
+        argv = ["member", "--system", "wti", "--n", "3", "--m", "3",
+                "--point", str(deep)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chambers": [[0, 1]],
+                                   "weights": [["1", "0"]]}))
+        argv = ["slope", "--graph", str(deep), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--stages", "--cap"])
 def test_build_negative_count_exits_2(tmp_path, capsys, flag):
     argv = {"--stages": "1", "--cap": "64"}

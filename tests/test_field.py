@@ -208,6 +208,8 @@ def test_integer_form_matches_fraction_reference(name, data):
     for op, (got, want) in results.items():
         assert_canonical(descr, got)
         assert got.coeffs == want, op
+        if got.is_rational():
+            assert hash(got) == hash(got.as_fraction()), op
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             b.inverse()
@@ -227,6 +229,13 @@ def test_integer_form_matches_fraction_reference(name, data):
     for e in (a, a * b):
         back = element_from_json(descr, e.to_json())
         assert back == e and back.to_json() == e.to_json()
+
+
+def test_rational_elements_hash_like_numbers():
+    descr = field_init(3)
+    assert len({descr.one, 1}) == 1
+    assert {1: "x"}.get(descr.one) == "x"
+    assert {Fraction(1, 2): "h"}.get(descr.from_rational(Fraction(1, 2))) == "h"
 
 
 def test_sign_beyond_float_range():
@@ -501,25 +510,25 @@ def test_q_even_equals_q2_times_t(n):
         assert q_number(descr, 2 * m) == two_q * t_number(descr, m)
 
 
+def hyperbolic_q_odd(t, k):
+    # [2m+1]_q = sum of t**j for j in [-m, m]: odd q-integers lie in Q(t)
+    return 1 + sum(t ** j + t ** -j for j in range(1, (k - 1) // 2 + 1))
+
+
 def test_q_number_hyperbolic():
     descr = field_init(t=2)
-    # odd entries live in Q(t): [2m+1]_q = 1 + sum t^j + t^-j
-    assert q_number(descr, 1).as_fraction() == 1
-    assert q_number(descr, 3).as_fraction() == 1 + 2 + Fraction(1, 2)
-    assert q_number(descr, 5).as_fraction() == 1 + 2 + Fraction(1, 2) + 4 + Fraction(1, 4)
-    with pytest.raises(UnsupportedModeError):
-        q_number(descr, 2)
-    with pytest.raises(UnsupportedModeError):
-        q_number(descr, 4)
+    for k in (1, 2, 3):
+        with pytest.raises(UnsupportedModeError):
+            q_number(descr, k)
 
 
 def test_q_number_squared():
     descr = field_init(t=2)
     assert q_number_squared(descr, 2).as_fraction() == Fraction(9, 2)
-    for k in range(7):
-        sq = q_number_squared(descr, k)
-        if k % 2 == 1:
-            assert sq == q_number(descr, k) * q_number(descr, k)
+    assert hyperbolic_q_odd(Fraction(2), 5) == 1 + 2 + Fraction(1, 2) + 4 + Fraction(1, 4)
+    for k in range(1, 7, 2):
+        assert q_number_squared(descr, k).as_fraction() == \
+            hyperbolic_q_odd(Fraction(2), k) ** 2
     unit = field_init(t=1)
     assert q_number_squared(unit, 5).as_fraction() == 25
     cyc = field_init(4)

@@ -1,4 +1,4 @@
-"""Concave weightings, graded products, the deformation family, and the
+"""Concave weightings, graded products, the deformation exponents, and the
 collapse onto the pre-ring tables."""
 
 import itertools
@@ -17,8 +17,6 @@ from dihedralcalc.field import field_init, sign_of
 from dihedralcalc.filtration import (
     ConcaveWeighting,
     concavity_audit,
-    deform_mul,
-    evaluate_deform,
     full_weight,
     grass_degree,
     gr_mul,
@@ -29,7 +27,7 @@ from dihedralcalc.filtration import (
     limit_table_json,
     side_weight,
     subalgebra_table_json,
-    _rational_power,
+    _deformation_exponent,
 )
 from dihedralcalc.prering import Z2
 from dihedralcalc.weyl import WeylElement
@@ -210,75 +208,17 @@ def test_gr_side_associative(n, i):
         assert a.equal(left, right)
 
 
-# -- deformation family --------------------------------------------------------
-
-def test_deform_tau_one_recovers_product():
-    a = alg(4)
-    weighting = ConcaveWeighting.full(a)
-    for u, v in itertools.product(a.basis(), repeat=2):
-        formal = deform_mul(weighting, u, v)
-        assert evaluate_deform(weighting, formal, Fraction(1)) == \
-            a.mul_basis(u, v)
-
+# -- deformation exponents -----------------------------------------------------
 
 def test_deform_exponent_signs():
     a = alg(5)
     weighting = ConcaveWeighting.full(a)
     for u, v in itertools.product(a.basis(), repeat=2):
-        for z, (exp, c) in deform_mul(weighting, u, v).items():
-            s = sign_of(exp)
+        for z, c in a.mul_basis(u, v).items():
+            s = sign_of(_deformation_exponent(weighting, u, v, z))
             degenerate = u.length == 0 or v.length == 0 or z.length == 5
             assert s == (0 if degenerate else 1)
             assert not c.is_zero()
-
-
-def test_deform_degenerate_terms_tau_independent():
-    a = alg(3)
-    weighting = ConcaveWeighting.full(a)
-    formal = deform_mul(weighting, w(1, 1), w(2, 2))
-    for tau in (Fraction(2), Fraction(1, 3), Fraction(7)):
-        assert evaluate_deform(weighting, formal, tau) == {w(3): a.descr.one}
-
-
-def test_deform_intertwines_at_rational_exponents():
-    # scaling sigma_x by tau^phi(x) turns the deformed product back into
-    # the plain one; the full weight takes integer values at n = 2 and t = 1
-    for a in (alg(2), AlgebraContext(field_init(t=Fraction(1)), cap=8)):
-        weighting = ConcaveWeighting.full(a)
-        descr = a.descr
-        tau = Fraction(3, 2)
-        basis = [b for b in a.basis() if b.length <= 4]
-        for u, v in itertools.product(basis, repeat=2):
-            formal = deform_mul(weighting, u, v)
-            got = evaluate_deform(weighting, formal, tau)
-            tu = _rational_power(tau, weighting.phi(u).as_fraction())
-            tv = _rational_power(tau, weighting.phi(v).as_fraction())
-            for z, c in a.mul_basis(u, v).items():
-                tz = _rational_power(tau, weighting.phi(z).as_fraction())
-                lhs = got.get(z, descr.zero) * descr.from_rational(tz)
-                rhs = c * descr.from_rational(tu * tv)
-                assert lhs == rhs
-            assert set(got) == set(a.mul_basis(u, v))
-
-
-def test_deform_irrational_exponent_rejected():
-    weighting = ConcaveWeighting.full(alg(4))
-    formal = deform_mul(weighting, w(1, 1), w(1, 1))
-    with pytest.raises(UnsupportedModeError):
-        evaluate_deform(weighting, formal, Fraction(2))
-
-
-def test_deform_tau_positive_required():
-    weighting = ConcaveWeighting.full(alg(3))
-    with pytest.raises(InvalidParameterError):
-        evaluate_deform(weighting, {}, Fraction(-1))
-
-
-def test_rational_power_helper():
-    assert _rational_power(Fraction(4, 9), Fraction(3, 2)) == Fraction(8, 27)
-    assert _rational_power(Fraction(2), Fraction(-2)) == Fraction(1, 4)
-    assert _rational_power(Fraction(2), Fraction(1, 2)) is None
-    assert _rational_power(Fraction(5, 7), Fraction(0)) == 1
 
 
 # -- the collapse onto pre-rings -----------------------------------------------

@@ -9,48 +9,49 @@ from dihedralcalc.field import field_init, real_cyclotomic
 from dihedralcalc.lp import LPResult, lp_solve
 
 F = Fraction
+ZERO = F(0)
 
 
 def test_two_var_vertex():
     # max x+y s.t. x+2y<=4, 3x+y<=6
-    res = lp_solve([[1, 2], [3, 1]], [4, 6], [1, 1])
+    res = lp_solve([[1, 2], [3, 1]], [4, 6], [1, 1], zero=ZERO)
     assert res.status == "optimal"
     assert res.optimum == F(14, 5)
     assert res.witness == [F(8, 5), F(6, 5)]
 
 
 def test_minimize_sign():
-    res = lp_solve([[-1, 0], [1, 0], [0, 1]], [-1, 3, 2], [1, 0],
-                   maximize=False)
+    # min x = -max(-x)
+    res = lp_solve([[-1, 0], [1, 0], [0, 1]], [-1, 3, 2], [-1, 0], zero=ZERO)
     assert res.status == "optimal"
-    assert res.optimum == 1
+    assert res.optimum == -1
     assert res.witness[0] == 1
 
 
 def test_unbounded():
-    res = lp_solve([[1, -1]], [1], [1, 1])
+    res = lp_solve([[1, -1]], [1], [1, 1], zero=ZERO)
     assert res.status == "unbounded"
 
 
 def test_infeasible():
     # x >= 1 together with x <= 1/2
-    res = lp_solve([[-1], [1]], [-1, F(1, 2)], [1])
+    res = lp_solve([[-1], [1]], [-1, F(1, 2)], [1], zero=ZERO)
     assert res.status == "infeasible"
 
 
 def test_empty_constraints():
-    assert lp_solve([], [], [1, 1]).status == "unbounded"
-    res = lp_solve([], [], [-1, -1])
+    assert lp_solve([], [], [1, 1], zero=ZERO).status == "unbounded"
+    res = lp_solve([], [], [-1, -1], zero=ZERO)
     assert res.status == "optimal"
     assert res.optimum == 0
 
 
 def test_phase_one_then_optimize():
     # x >= 1, x <= 3
-    res = lp_solve([[-1], [1]], [-1, 3], [1])
+    res = lp_solve([[-1], [1]], [-1, 3], [1], zero=ZERO)
     assert res.status == "optimal" and res.optimum == 3
-    res = lp_solve([[-1], [1]], [-1, 3], [1], maximize=False)
-    assert res.optimum == 1
+    res = lp_solve([[-1], [1]], [-1, 3], [-1], zero=ZERO)
+    assert res.optimum == -1
 
 
 def test_beale_degenerate_cycle_guard():
@@ -60,7 +61,7 @@ def test_beale_degenerate_cycle_guard():
         [F(1, 2), -90, F(-1, 50), 3],
         [0, 0, 1, 0],
     ]
-    res = lp_solve(rows, [0, 0, 1], [F(3, 4), -150, F(1, 50), -6])
+    res = lp_solve(rows, [0, 0, 1], [F(3, 4), -150, F(1, 50), -6], zero=ZERO)
     assert res.status == "optimal"
     assert res.optimum == F(1, 20)
     assert res.witness == [F(1, 25), 0, 1, 0]
@@ -70,7 +71,7 @@ def test_redundant_equality_rows():
     # x+y = 1 forced by a <=/>= pair, plus a duplicated >= row
     rows = [[1, 1], [-1, -1], [-1, -1], [1, -1]]
     rhs = [1, -1, -1, 1]
-    res = lp_solve(rows, rhs, [2, 1])
+    res = lp_solve(rows, rhs, [2, 1], zero=ZERO)
     assert res.status == "optimal"
     assert res.optimum == 2
     assert res.witness == [1, 0]
@@ -91,7 +92,7 @@ def test_dual_certificate_small():
     rows = [[1, 2], [3, 1]]
     rhs = [4, 6]
     obj = [1, 1]
-    res = lp_solve(rows, rhs, obj)
+    res = lp_solve(rows, rhs, obj, zero=ZERO)
     _check_dual(rows, rhs, obj, res)
 
 
@@ -99,7 +100,7 @@ def test_dual_certificate_with_negated_row():
     rows = [[-1, 0], [1, 1]]
     rhs = [-1, 5]
     obj = [1, 2]
-    res = lp_solve(rows, rhs, obj)
+    res = lp_solve(rows, rhs, obj, zero=ZERO)
     # x >= 1 forces the vertex (1, 4): optimum 1 + 2*4
     assert res.optimum == 9
     assert res.witness == [1, 4]
@@ -111,13 +112,14 @@ def test_field_element_coefficients():
     r2 = k.two_cos(1)
     one = k.one
     # max x s.t. x <= sqrt(2)
-    res = lp_solve([[one]], [r2], [one])
+    res = lp_solve([[one]], [r2], [one], zero=k.zero)
     assert res.status == "optimal"
     assert res.optimum == r2
     # max x+2y s.t. x + sqrt2*y <= 2, y <= sqrt2/2: vertex (1, sqrt2/2)
     half = k.from_rational(F(1, 2))
     two = k.from_rational(2)
-    res = lp_solve([[one, r2], [k.zero, one]], [two, r2 * half], [one, two])
+    res = lp_solve([[one, r2], [k.zero, one]], [two, r2 * half], [one, two],
+                   zero=k.zero)
     assert res.status == "optimal"
     assert res.optimum == one + r2
     assert res.witness == [one, r2 * half]
@@ -126,9 +128,10 @@ def test_field_element_coefficients():
 def test_field_element_infeasible_and_unbounded():
     k = field_init(3)
     theta = k.theta
-    res = lp_solve([[-k.one]], [-theta], [k.one])
+    res = lp_solve([[-k.one]], [-theta], [k.one], zero=k.zero)
     assert res.status == "unbounded"
-    res = lp_solve([[-k.one], [k.one]], [-theta, k.one], [k.one])
+    res = lp_solve([[-k.one], [k.one]], [-theta, k.one], [k.one],
+                   zero=k.zero)
     assert res.status == "infeasible"  # theta = 2cos(pi/6) > 1
 
 
@@ -141,7 +144,7 @@ def test_random_cross_check_against_float_solver():
         rows = [[F(rng.randint(-4, 4)) for _ in range(d)] for _ in range(m)]
         rhs = [F(rng.randint(-3, 6)) for _ in range(m)]
         obj = [F(rng.randint(-3, 3)) for _ in range(d)]
-        res = lp_solve(rows, rhs, obj)
+        res = lp_solve(rows, rhs, obj, zero=ZERO)
         ref = scipy_lp([-float(c) for c in obj],
                        A_ub=[[float(v) for v in row] for row in rows],
                        b_ub=[float(b) for b in rhs],
@@ -163,7 +166,7 @@ def test_witness_is_feasible_vertex_exactly():
     rows = [[2, 1, 1], [1, 3, 2], [2, 1, 3]]
     rhs = [14, 22, 20]
     obj = [3, 2, 4]
-    res = lp_solve(rows, rhs, obj)
+    res = lp_solve(rows, rhs, obj, zero=ZERO)
     assert res.status == "optimal"
     for row, b in zip(rows, rhs):
         assert sum(v * x for v, x in zip(row, res.witness)) <= b
