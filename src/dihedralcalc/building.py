@@ -21,6 +21,7 @@ is the geometric counterpart of the linear inequality systems in `cones`.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import copy as _copy
 import csv
@@ -41,7 +42,7 @@ class ChamberGraph:
     """Bipartite graph with vertex types in {1, 2} and a construction log.
 
     Vertices are integers 0..V-1; ``types[v]`` is the type of v and ``adj[v]``
-    the neighbor list.  All randomized choices go through ``self.rng`` so a
+    the sorted neighbor list.  All randomized choices go through ``self.rng`` so a
     fixed seed plus a fixed operation sequence reproduces the graph and the
     log byte for byte.
     """
@@ -95,22 +96,27 @@ class ChamberGraph:
             raise InvalidParameterError("edge endpoints must have opposite types")
         if v in self.adj[u]:
             raise InvalidParameterError("duplicate edge")
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        bisect.insort(self.adj[u], v)
+        bisect.insort(self.adj[v], u)
 
     def add_path(self, u: int, v: int, length: int) -> list[int]:
         """Join u to v by a fresh path with ``length`` edges; returns new ids.
 
-        Its shortest new cycle has length ``length + d(u, v)``, so a BFS from
-        u bounded at depth 2n-1-length refuses, before any mutation, every
-        path that would drop the girth below 2n.
+        Its shortest new cycle has length ``length + d(u, v)``, so the path
+        is refused, before any mutation, exactly when d(u, v) <= lim with
+        lim = 2n-1-length.  Balls of radii ceil(lim/2) around u and
+        floor(lim/2) around v meet exactly then, and the least
+        d(u, x) + d(v, x) over their intersection is d(u, v).
         """
         if length < 1:
             raise InvalidParameterError("path length must be positive")
         if (self.types[u] + self.types[v] + length) % 2 != 0:
             raise InvalidParameterError("path length incompatible with endpoint types")
-        if length < 2 * self.n:
-            d = self.distances(u, limit=2 * self.n - 1 - length)[v]
+        lim = 2 * self.n - 1 - length
+        if lim >= 0:
+            near = self._ball(u, (lim + 1) // 2)
+            far = self._ball(v, lim // 2)
+            d = min((near[x] + dx for x, dx in far.items() if x in near), default=None)
             if d is not None:
                 raise VerificationError(f"path would close a {length + d}-cycle < {2 * self.n}")
         new: list[int] = []
@@ -152,11 +158,29 @@ class ChamberGraph:
                     queue.append(v)
         return dist
 
+    def _ball(self, src: int, radius: int) -> dict[int, int]:
+        """Distances from src of the vertices within ``radius`` of it."""
+        ball = {src: 0}
+        frontier = [src]
+        for depth in range(1, radius + 1):
+            nxt = []
+            for x in frontier:
+                for y in self.adj[x]:
+                    if y not in ball:
+                        ball[y] = depth
+                        nxt.append(y)
+            frontier = nxt
+        return ball
+
     def distance(self, u: int, v: int) -> int | None:
         return self.distances(u)[v]
 
     def shortest_path(self, u: int, v: int) -> list[int] | None:
-        """A shortest u-v path; ties broken toward smaller vertex ids."""
+        """A shortest u-v path; ties broken toward smaller vertex ids.
+
+        Adjacency lists are kept sorted, so scanning them in order is the
+        tie-break.
+        """
         parent: dict[int, int] = {u: -1}
         queue = collections.deque([u])
         while queue:
@@ -166,7 +190,7 @@ class ChamberGraph:
                 while parent[path[-1]] != -1:
                     path.append(parent[path[-1]])
                 return path[::-1]
-            for y in sorted(self.adj[x]):
+            for y in self.adj[x]:
                 if y not in parent:
                     parent[y] = x
                     queue.append(y)
@@ -210,23 +234,37 @@ class ChamberGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ChamberGraph":
-        """Inverse of ``to_json``; a malformed document raises InvalidParameterError."""
+        """Inverse of ``to_json``; a malformed document raises InvalidParameterError.
+
+        Numbers must be JSON integers, and the graph must have girth >= 2n,
+        the invariant that ``add_path`` keeps for grown graphs.
+        """
         try:
-            g = cls(int(doc["n"]), int(doc.get("seed", 0)))
-            order = sorted(doc["vertices"], key=lambda rec: rec["id"])
+            g = cls(json_int(doc["n"], "n"), json_int(doc.get("seed", 0), "seed"))
+            order = sorted(doc["vertices"], key=lambda rec: json_int(rec["id"], "vertex id"))
             for expect, rec in enumerate(order):
                 if rec["id"] != expect:
                     raise InvalidParameterError("vertex ids must be 0..V-1")
-                g.add_vertex(int(rec["type"]))
+                g.add_vertex(json_int(rec["type"], "vertex type"))
             for u, v in doc["edges"]:
-                u, v = int(u), int(v)
+                u, v = json_int(u, "edge endpoint"), json_int(v, "edge endpoint")
                 if not (0 <= u < g.num_vertices and 0 <= v < g.num_vertices):
                     raise InvalidParameterError(f"edge ({u}, {v}) has an unknown vertex")
                 g.add_edge(u, v)
             g.log = _copy.deepcopy(doc.get("log", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed graph document: {exc!r}") from exc
+        shortest = girth(g)
+        if shortest < 2 * g.n:
+            raise InvalidParameterError(f"graph has a {shortest}-cycle < {2 * g.n}")
         return g
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; TypeError for a float, bool or string."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # -- global metrics ----------------------------------------------------------
@@ -235,27 +273,42 @@ class ChamberGraph:
 def girth(g: ChamberGraph) -> float:
     """Length of a shortest cycle, math.inf for a forest.
 
-    BFS from every vertex; a cross edge at depths (a, b) certifies a closed
-    walk of length a+b+1 through the source, and the minimum over all
-    sources is the girth.  Growth never calls this, since ``add_path``
-    keeps girth >= 2n itself; it audits a finished graph independently.
+    A BFS from each source ``src`` over the vertices with ids >= src only;
+    a non-tree edge at depths (a, b) certifies a closed non-backtracking
+    walk of length a+b+1, which contains a cycle, so no BFS reports less
+    than the girth.  If s is the smallest id on a shortest cycle C, the
+    BFS from s sees all of C and reports |C|: some edge of C is not a
+    tree edge, and its depths sum to at most |C|-1.  A BFS stops at depth
+    a once 2a+1 >= best, since deeper edges close no shorter walk.
+    Growth never calls this, since ``add_path`` keeps girth >= 2n itself;
+    it audits a finished graph independently.
     """
+    adj = g.adj
+    dist = [-1] * g.num_vertices
+    parent = [-1] * g.num_vertices
     best = math.inf
     for src in range(g.num_vertices):
-        dist = {src: 0}
-        parent = {src: -1}
-        queue = collections.deque([src])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] + 1 >= best:
-                break
-            for v in g.adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    best = min(best, dist[u] + dist[v] + 1)
+        dist[src] = 0
+        seen = [src]
+        frontier = [src]
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v < src:
+                        continue
+                    if dist[v] < 0:
+                        dist[v] = depth + 1
+                        parent[v] = u
+                        nxt.append(v)
+                    elif v != parent[u]:
+                        best = min(best, depth + dist[v] + 1)
+            seen += nxt
+            frontier = nxt
+            depth += 1
+        for x in seen:
+            dist[x] = parent[x] = -1
     return best
 
 

@@ -23,7 +23,7 @@ from typing import Any
 
 from .algebra import AlgebraContext
 from .building import ChamberGraph, WeightedConfiguration, bar_step, \
-    find_antipodal_tuple, graph_metrics, min_slope_scan, slope_at
+    find_antipodal_tuple, graph_metrics, json_int, min_slope_scan, slope_at
 from .cones import DominantWeight, a1_product_system, audit_to_json, \
     cone_equal, equality_to_json, gen_km, gen_sti, gen_wti, is_member, \
     redundancy_audit, system_to_json, system_to_latex, theta_system
@@ -242,7 +242,9 @@ def _cmd_slope(args) -> int:
     graph = _load_graph(graph_doc)
     config_doc, config_sha = _read_json(args.config)
     try:
-        chambers = [(int(u), int(v)) for u, v in config_doc["chambers"]]
+        chambers = [(json_int(u, "chamber endpoint"),
+                     json_int(v, "chamber endpoint"))
+                    for u, v in config_doc["chambers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed config: {exc}")
     weights = _parse_weights(config_doc)

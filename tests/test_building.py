@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dihedralcalc.building import (
     BarReport,
@@ -63,6 +65,44 @@ def check_n1_isometric(old, new):
     return True
 
 
+def girth_reference(g):
+    """Shortest cycle by a full BFS from every vertex: the all-source oracle."""
+    best = math.inf
+    for src in range(g.num_vertices):
+        dist = {src: 0}
+        parent = {src: -1}
+        queue = collections.deque([src])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] + 1 >= best:
+                break
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    best = min(best, dist[u] + dist[v] + 1)
+    return best
+
+
+@st.composite
+def bipartite_graphs(draw, max_vertices=14):
+    """A random bipartite graph built by ``add_edge``, with random vertex ids."""
+    n = draw(st.integers(2, 6))
+    types = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=max_vertices))
+    label = draw(st.permutations(range(len(types))))
+    pairs = [(u, v) for u, v in itertools.combinations(range(len(types)), 2)
+             if types[u] != types[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=24)) if pairs else []
+    g = ChamberGraph(n)
+    for t in sorted(range(len(types)), key=lambda v: label[v]):
+        g.add_vertex(types[t])
+    for u, v in edges:
+        g.add_edge(label[u], label[v])
+    return g
+
+
 # -- graph primitives ---------------------------------------------------------
 
 
@@ -118,6 +158,32 @@ def test_add_path_refuses_short_cycle():
     assert g.adj == adj
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=bipartite_graphs())
+def test_girth_matches_all_source_reference(g):
+    assert girth(g) == girth_reference(g)
+    assert all(a == sorted(a) for a in g.adj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=bipartite_graphs())
+def test_add_path_refuses_exactly_short_cycles(data, g):
+    u = data.draw(st.integers(0, g.num_vertices - 1))
+    v = data.draw(st.integers(0, g.num_vertices - 1))
+    parity = (g.types[u] + g.types[v]) % 2
+    length = data.draw(st.integers(1, 2 * g.n + 1).filter(lambda k: k % 2 == parity))
+    d = g.distances(u)[v]
+    types, adj = list(g.types), [list(a) for a in g.adj]
+    if d is not None and length + d < 2 * g.n:
+        with pytest.raises(VerificationError, match=f"close a {length + d}-cycle"):
+            g.add_path(u, v, length)
+        assert g.types == types
+        assert g.adj == adj
+    else:
+        assert len(g.add_path(u, v, length)) == length - 1
+        assert g.distances(u)[v] == (length if d is None else min(d, length))
+
+
 def test_add_path_accepts_girth_cycle():
     g = ChamberGraph.apartment(3)
     new = g.add_path(0, 3, 3)  # d(0, 3) = 3 closes exactly a 6-cycle
@@ -150,8 +216,18 @@ def test_json_roundtrip_and_schema():
         lambda d: d.update(n="three"),
         lambda d: d["edges"].append([0, 99]),
         lambda d: d["edges"].append([-2, 1]),  # would alias vertex 4
+        lambda d: d.update(n=3.7),
+        lambda d: d.update(n="3"),
+        lambda d: d.update(seed=2.5),
+        lambda d: d["vertices"][0].update(type=1.5),
+        lambda d: d["vertices"][0].update(type=True),
+        lambda d: d["vertices"][1].update(id=1.0),
+        lambda d: d["edges"].__setitem__(0, [0.9, 1.2]),
+        lambda d: d["edges"].append([0, 3]),  # closes a 4-cycle at n = 3
     ],
-    ids=["no-vertices", "no-n", "vertices-int", "short-edge", "n-str", "edge-high", "edge-neg"],
+    ids=["no-vertices", "no-n", "vertices-int", "short-edge", "n-str", "edge-high", "edge-neg",
+         "n-float", "n-numeric-str", "seed-float", "type-float", "type-bool", "id-float",
+         "edge-float", "four-cycle"],
 )
 def test_from_json_rejects_malformed(mangle):
     doc = ChamberGraph.apartment(3).to_json()

@@ -262,8 +262,11 @@ NO_VERTICES = {k: v for k, v in ChamberGraph.apartment(3).to_json().items()
                if k != "vertices"}
 
 
-@pytest.mark.parametrize("text", [json.dumps(NO_VERTICES), "null"],
-                         ids=["no-vertices", "null"])
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(NO_VERTICES), "null",
+     json.dumps({**ChamberGraph.apartment(3).to_json(), "n": 3.7})],
+    ids=["no-vertices", "null", "n-float"])
 def test_slope_malformed_graph_exits_2(tmp_path, capsys, text):
     raw = tmp_path / "bad.json"
     raw.write_text(text)
@@ -273,8 +276,10 @@ def test_slope_malformed_graph_exits_2(tmp_path, capsys, text):
     assert "malformed graph" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chambers", [[["a", "b"]], [[0, 1, 2]]],
-                         ids=["str-endpoints", "three-endpoints"])
+@pytest.mark.parametrize(
+    "chambers", [[["a", "b"]], [[0, 1, 2]], [[0.5, 1]], [["0", "1"]], [[False, 1]]],
+    ids=["str-endpoints", "three-endpoints", "float-endpoint", "numeric-str",
+         "bool-endpoint"])
 def test_slope_malformed_chambers_exit_2(tmp_path, capsys, chambers):
     raw = tmp_path / "g.json"
     raw.write_text(json.dumps(ChamberGraph.apartment(3).to_json()))
@@ -282,6 +287,17 @@ def test_slope_malformed_chambers_exit_2(tmp_path, capsys, chambers):
     cfg.write_text(json.dumps({"chambers": chambers, "weights": [["1", "0"]]}))
     assert main(["slope", "--graph", str(raw), "--config", str(cfg)]) == 2
     assert "malformed config" in capsys.readouterr().err
+
+
+def test_slope_short_cycle_graph_exits_2(tmp_path, capsys):
+    doc = ChamberGraph.apartment(3).to_json()
+    doc["edges"].append([0, 3])
+    raw = tmp_path / "bad.json"
+    raw.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chambers": [[0, 1]], "weights": [["1", "0"]]}))
+    assert main(["slope", "--graph", str(raw), "--config", str(cfg)]) == 2
+    assert "4-cycle < 6" in capsys.readouterr().err
 
 
 def test_slope_negative_within_exits_2(tmp_path, capsys):
