@@ -87,10 +87,10 @@ def girth_reference(g):
 
 
 @st.composite
-def bipartite_graphs(draw, max_vertices=14):
+def bipartite_graphs(draw):
     """A random bipartite graph built by ``add_edge``, with random vertex ids."""
     n = draw(st.integers(2, 6))
-    types = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=max_vertices))
+    types = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=14))
     label = draw(st.permutations(range(len(types))))
     pairs = [(u, v) for u, v in itertools.combinations(range(len(types)), 2)
              if types[u] != types[v]]
