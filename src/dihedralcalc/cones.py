@@ -481,7 +481,7 @@ def evaluate_point(system: InequalitySystem, pairs: list) -> MembershipResult:
 
 @dataclass
 class ConeLPResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "infeasible"
     optimum: FieldElement | None = None
     witness: list | None = None  # (a, b) small-field pair per slot
     iterations: int = 0
@@ -508,12 +508,10 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     cost = [zero] * r + [-one, one]
 
     res = lp_solve(g, rhs, cost, zero=zero)
-    if res.status == "unbounded":
+    if res.status != "optimal":
+        # the section is bounded, so by duality an unbounded or infeasible
+        # dual means an empty section
         return ConeLPResult("infeasible", iterations=res.iterations)
-    if res.status == "infeasible":
-        probe = lp_solve(g, [zero] * d, cost, zero=zero)
-        status = "unbounded" if probe.status == "optimal" else "infeasible"
-        return ConeLPResult(status, iterations=res.iterations + probe.iterations)
 
     optimum = -res.optimum
     z = res.dual
@@ -617,7 +615,7 @@ def _canon_key(key: tuple, sym: tuple) -> tuple:
     return tuple(out)
 
 
-def _dominated_by(row, other, zero) -> bool:
+def _dominated_by(row, other) -> bool:
     return all(a <= b for a, b in zip(row, other))
 
 
@@ -634,7 +632,7 @@ def _implied_over(target: InequalitySystem, key: tuple,
     else:
         row = inequality_row(target.n, key)
         for q in target.inequalities:
-            if _dominated_by(row, target.row(q.key), zero):
+            if _dominated_by(row, target.row(q.key)):
                 result = ("implied", "dominated", None)
                 break
     if result is None:

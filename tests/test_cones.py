@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dihedralcalc import lp
 from dihedralcalc.cones import (
     AuditReport, ConeEqualityCertificate, DominantWeight, InequalitySystem,
     LinearInequality, a1_product_system, antipode, audit_to_json,
@@ -320,6 +321,17 @@ def test_lp_optimize_infeasible_section():
         LinearInequality(k, gen_wti(2, 2).inequalities[0].tag) for k in keys])
     res = lp_optimize(sys, sys.row((0, 0)))
     assert res.status == "infeasible"
+
+
+def test_cone_lps_certify_the_float_basis(monkeypatch):
+    # every LP of an audit and an equality is settled without the exact
+    # tableau, which runs only when a float basis fails certification
+    def cold_start(*args):
+        raise AssertionError("exact cold start")
+    monkeypatch.setattr(lp, "_Tableau", cold_start)
+    report = redundancy_audit(gen_wti(4, 3))
+    assert report.entries and report.redundant == 0
+    assert cone_equal(gen_wti(5, 4), gen_sti(5, 4)).equal
 
 
 def test_lp_optimize_rejects_bad_objective():

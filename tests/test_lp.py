@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dihedralcalc import lp
 from dihedralcalc.field import field_init, real_cyclotomic
 from dihedralcalc.lp import LPResult, lp_solve
 
@@ -172,3 +175,115 @@ def test_witness_is_feasible_vertex_exactly():
         assert sum(v * x for v, x in zip(row, res.witness)) <= b
     assert sum(c * x for c, x in zip(obj, res.witness)) == res.optimum
     _check_dual(rows, rhs, obj, res)
+
+
+# -- float-guided basis, exact certification ---------------------------------
+
+
+def cold_solve(rows, rhs, objective, zero=ZERO) -> LPResult:
+    """lp_solve on the exact tableau alone, without the float pass."""
+    with mock.patch.object(lp, "_float_basis", return_value=None):
+        return lp_solve(rows, rhs, objective, zero=zero)
+
+
+def _check_primal(rows, rhs, objective, res: LPResult) -> None:
+    assert all(x >= 0 for x in res.witness)
+    for row, b in zip(rows, rhs):
+        assert sum((v * x for v, x in zip(row, res.witness)), F(0)) <= b
+    assert sum((c * x for c, x in zip(objective, res.witness)),
+               F(0)) == res.optimum
+
+
+# max x+y s.t. x+2y<=4, 3x+y<=6; columns x, y, slack 1, slack 2
+TWO_ROWS = ([[1, 2], [3, 1]], [4, 6], [1, 1])
+# max x+y s.t. x<=2, x-y<=1, x+y<=4; columns x, y, slacks 2, 3, 4
+THREE_ROWS = ([[1, 0], [1, -1], [1, 1]], [2, 1, 4], [1, 1])
+# max x+y s.t. x+y<=2, x-y<=4; both rows meet at (3, -1)
+CROSSING = ([[1, 1], [1, -1]], [2, 4], [1, 1])
+# max -x s.t. x<=1, x>=2: infeasible; columns x, slack 1, slack 2
+INFEASIBLE = ([[1], [-1]], [1, -2], [-1])
+
+
+@pytest.mark.parametrize("lp_data, basis", [
+    (TWO_ROWS, [0, 3]),  # x = 4 leaves slack 2 at -6: primal infeasible
+    (CROSSING, [0, 1]),  # y = (1, 0) is dual feasible but x_2 = -1
+    (TWO_ROWS, [2, 3]),  # all slacks: x = 0 is feasible, y = 0 misses y.A >= c
+    (THREE_ROWS, [0, 1, 4]),  # vertex (2, 1): y.A = c but y_2 = -1
+    (TWO_ROWS, [0, 0]),  # a repeated structural column: singular
+    (INFEASIBLE, [1, 1]),  # a repeated slack: singular, row 2 never checked
+])
+def test_wrong_float_basis_falls_back_to_cold_path(lp_data, basis):
+    rows, rhs, obj = lp_data
+    with mock.patch.object(lp, "_float_basis", return_value=(basis, 0)):
+        res = lp_solve(rows, rhs, obj, zero=ZERO)
+    assert res == cold_solve(rows, rhs, obj)
+    if res.status == "optimal":
+        _check_primal(rows, rhs, obj, res)
+        _check_dual(rows, rhs, obj, res)
+
+
+def test_float_pass_that_gives_up_falls_back():
+    rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3],
+            [0, 0, 1, 0]]
+    rhs, obj = [0, 0, 1], [F(3, 4), -150, F(1, 50), -6]
+    t = lp._FloatTableau(rows, rhs)
+    t.budget = 0
+    with pytest.raises(ArithmeticError):
+        t.phase_two([float(c) for c in obj] + [0.0] * 3)
+    with mock.patch.object(lp._FloatTableau, "_pivot",
+                           side_effect=ArithmeticError):
+        res = lp_solve(rows, rhs, obj, zero=ZERO)
+    assert res == cold_solve(rows, rhs, obj)
+    assert res.optimum == F(1, 20)
+
+
+def test_certified_float_basis_matches_cold_path():
+    rows = [[2, 1, 1], [1, 3, 2], [2, 1, 3], [-1, 0, 0]]
+    rhs, obj = [14, 22, 20, -1], [3, 2, 4]
+    assert lp._float_basis(rows, rhs, obj) is not None
+    with mock.patch.object(lp, "_Tableau", side_effect=AssertionError):
+        res = lp_solve(rows, rhs, obj, zero=ZERO)
+    assert res == cold_solve(rows, rhs, obj)
+
+
+def test_float_overflow_solves_exactly():
+    # float() of these coefficients raises OverflowError
+    big = F(10 ** 400, 3)
+    rows = [[big, 1], [1, big], [-1, 0]]
+    rhs = [2 * big, big + 1, -1]
+    obj = [1, big]
+    assert lp._float_basis(rows, rhs, obj) is None
+    res = lp_solve(rows, rhs, obj, zero=ZERO)
+    assert res == cold_solve(rows, rhs, obj)
+    assert res.status == "optimal" and res.witness == [1, 1]
+    assert res.optimum == 1 + big
+    _check_primal(rows, rhs, obj, res)
+    _check_dual(rows, rhs, obj, res)
+
+
+_coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def small_lps(draw):
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    rows = [[draw(_coeff) for _ in range(d)] for _ in range(m)]
+    # zero right-hand sides make degenerate vertices, negative ones phase-one rows
+    rhs = [draw(st.sampled_from([F(0), F(0), F(-1), F(-1, 2)]) | _coeff)
+           for _ in range(m)]
+    obj = [draw(_coeff) for _ in range(d)]
+    return rows, rhs, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_float_guided_matches_cold_path(lp_data):
+    rows, rhs, obj = lp_data
+    res = lp_solve(rows, rhs, obj, zero=ZERO)
+    cold = cold_solve(rows, rhs, obj)
+    assert res.status == cold.status
+    if res.status == "optimal":
+        assert res.optimum == cold.optimum
+        _check_primal(rows, rhs, obj, res)
+        _check_dual(rows, rhs, obj, res)
