@@ -49,7 +49,7 @@ class SuiteResult:
 
     def to_json(self) -> dict[str, Any]:
         doc = {"suite": self.suite, "passed": self.passed,
-               "seconds": round(self.seconds, 3), "details": _show(self.details)}
+               "details": _show(self.details)}
         if self.counterexample is not None:
             doc["counterexample"] = _show(self.counterexample)
         return doc

@@ -6,11 +6,18 @@ past the top degree; same-side products carrying a single t-binomial;
 opposite-side products carrying two), so no division ever happens and the
 root-of-unity degenerations stay exact.  In hyperbolic mode the group is
 infinite and products are only defined up to a configurable degree cap.
+
+Every sparse product in the package is ``bilinear(mul_basis, a, b)``, the
+bilinear extension of a product on basis labels: A_t here, its associated
+graded and tau -> infinity limit (filtration), the Kac-Moody Chevalley
+product (chevalley) and the homology pre-rings over Z/2 + {inf} (prering).
+They differ only in the structure constants and the coefficient system.
+``mul_table_json`` exports any of them basis by basis.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CapExceededError, InvalidParameterError, UnsupportedModeError
 from .field import (
@@ -61,12 +68,7 @@ class AlgebraContext:
     def add(self, a: Element, b: Element) -> Element:
         out = dict(a)
         for w, c in b.items():
-            acc = out.get(w)
-            new = c if acc is None else acc + c
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
+            accumulate(out, w, c)
         return out
 
     def scale(self, c, a: Element) -> Element:
@@ -117,20 +119,7 @@ class AlgebraContext:
         return out
 
     def mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for u, ca in a.items():
-            for v, cb in b.items():
-                scale = ca * cb
-                if scale.is_zero():
-                    continue
-                for w, c in self.mul_basis(u, v).items():
-                    acc = out.get(w)
-                    new = c * scale if acc is None else acc + c * scale
-                    if new.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = new
-        return out
+        return bilinear(self.mul_basis, a, b)
 
     def product_chain(self, ws: Iterable[WeylElement]) -> Element:
         acc = self.unit()
@@ -153,26 +142,17 @@ class AlgebraContext:
         if i not in (1, 2):
             raise InvalidParameterError("generator index must be 1 or 2")
         out: Element = {}
-
-        def put(w, c):
-            acc = out.get(w)
-            new = c if acc is None else acc + c
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
-
         for w, c in a.items():
             if w.length == 0:
-                put(w, c)
+                accumulate(out, w, c)
             elif w.side is None:
-                put(w, -c)
+                accumulate(out, w, -c)
             elif w.side != i:
-                put(w, c)
+                accumulate(out, w, c)
             else:
-                put(w, -c)
-                put(WeylElement(w.length, 3 - i),
-                    t_power_sum(self.descr, w.length) * c)
+                accumulate(out, w, -c)
+                accumulate(out, WeylElement(w.length, 3 - i),
+                           t_power_sum(self.descr, w.length) * c)
         return out
 
     # -- export -------------------------------------------------------------------
@@ -181,17 +161,55 @@ class AlgebraContext:
         """Full basis-by-basis multiplication table (finite case)."""
         if self.n_t is None:
             raise UnsupportedModeError("full table requires the finite case")
-        basis = self.basis()
-        names = {w: _label(w) for w in basis}
-        table = {}
-        for u in basis:
-            for v in basis:
-                prod = self.mul_basis(u, v)
-                table[f"{names[u]}*{names[v]}"] = [
-                    {"w": names[w], "coeff": c.to_json()}
-                    for w, c in sorted(prod.items())]
-        return {"n": self.group.n, "basis": [names[w] for w in basis],
-                "field": self.descr.to_json(), "table": table}
+        return mul_table_json(self, self.basis(), self.mul_basis)
+
+
+def accumulate(out: dict, w, c) -> None:
+    """Add c at w in place; a term that cancels leaves the element."""
+    acc = out.get(w)
+    new = c if acc is None else acc + c
+    if new.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = new
+
+
+def bilinear(mul_basis: Callable, a: dict, b: dict) -> dict:
+    """Bilinear extension of a product on basis labels to sparse elements.
+
+    Coefficients need only ``+``, ``*`` and ``is_zero``.  Terms enter the
+    result in the order the factors and each basis product list them, and a
+    term that cancels leaves it (re-entering at the end if it reappears).
+    """
+    out: dict = {}
+    for u, ca in a.items():
+        for v, cb in b.items():
+            scale = ca * cb
+            if scale.is_zero():
+                continue
+            for w, c in mul_basis(u, v).items():
+                # accumulate() inlined: this is the hottest loop of the package
+                acc = out.get(w)
+                new = c * scale if acc is None else acc + c * scale
+                if new.is_zero():
+                    out.pop(w, None)
+                else:
+                    out[w] = new
+    return out
+
+
+def mul_table_json(alg: AlgebraContext, basis: list[WeylElement],
+                   mul_basis: Callable) -> dict:
+    """Basis-by-basis table of a product on the labels of ``basis``."""
+    names = {w: _label(w) for w in basis}
+    table = {}
+    for u in basis:
+        for v in basis:
+            table[f"{names[u]}*{names[v]}"] = [
+                {"w": names[w], "coeff": c.to_json()}
+                for w, c in sorted(mul_basis(u, v).items())]
+    return {"n": alg.group.n, "basis": [names[w] for w in basis],
+            "field": alg.descr.to_json(), "table": table}
 
 
 def _label(w: WeylElement) -> str:

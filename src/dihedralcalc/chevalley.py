@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import AlgebraContext, Element
+from .algebra import AlgebraContext, Element, accumulate, bilinear
 from .errors import (
     CapExceededError,
     InvalidParameterError,
@@ -72,17 +72,6 @@ class KacMoodyContext:
             raise InvalidParameterError("generator index must be 1 or 2")
         n = self.group.n
         out: Element = {}
-
-        def put(w, c):
-            if c.is_zero():
-                return
-            acc = out.get(w)
-            new = c if acc is None else acc + c
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
-
         for w, coeff in x.items():
             k = w.length
             if n is not None and k == n:
@@ -91,21 +80,22 @@ class KacMoodyContext:
                 raise CapExceededError(
                     f"degree {k + 1} exceeds cap {self.cap}")
             if k == 0:
-                put(WeylElement(1, i), coeff)
+                accumulate(out, WeylElement(1, i), coeff)
                 continue
             up = self.group.element(k + 1, None if n == k + 1 else i)
             if w.side == i:
                 # same side: ratio^(k mod 2) [k+1] on the extended class;
                 # [n] = 0 makes the top step vanish automatically
                 factor = self.ratio[i] ** (k % 2) * t_number(self.descr, k + 1)
-                put(up, factor * coeff)
+                accumulate(out, up, factor * coeff)
             elif n is not None and k + 1 == n:
                 # both extensions name the same reflection: count it once
-                put(up, coeff)
+                accumulate(out, up, coeff)
             else:
-                put(up, coeff)
+                accumulate(out, up, coeff)
                 factor = self.ratio[i] ** (1 - k % 2) * t_number(self.descr, k)
-                put(self.group.element(k + 1, w.side), factor * coeff)
+                accumulate(out, self.group.element(k + 1, w.side),
+                           factor * coeff)
         return out
 
     def generator_power_scale(self, w: WeylElement) -> FieldElement:
@@ -132,20 +122,7 @@ class KacMoodyContext:
         return {w: c / scale for w, c in acc.items()}
 
     def mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for u, ca in a.items():
-            for v, cb in b.items():
-                scale = ca * cb
-                if scale.is_zero():
-                    continue
-                for w, c in self.mul_basis(u, v).items():
-                    acc = out.get(w)
-                    new = c * scale if acc is None else acc + c * scale
-                    if new.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = new
-        return out
+        return bilinear(self.mul_basis, a, b)
 
     # -- W-action on the degree-one span ------------------------------------------
 
@@ -155,24 +132,14 @@ class KacMoodyContext:
         -[X_{s_i}] + a_{i,3-i} [X_{s_{3-i}}]."""
         out: Element = {}
         a_off = {1: self.a12, 2: self.a21}
-
-        def put(w, c):
-            if not c.is_zero():
-                acc = out.get(w, None)
-                new = c if acc is None else acc + c
-                if new.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = new
-
         for w, c in x.items():
             if w.length != 1:
                 raise InvalidParameterError("degree-one span only")
             if w.side != i:
-                put(w, c)
+                accumulate(out, w, c)
             else:
-                put(w, -c)
-                put(WeylElement(1, 3 - i), c * a_off[i])
+                accumulate(out, w, -c)
+                accumulate(out, WeylElement(1, 3 - i), c * a_off[i])
         return out
 
     # -- isomorphism with A_t ----------------------------------------------------

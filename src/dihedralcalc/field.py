@@ -206,7 +206,8 @@ class FieldDescriptor:
     # -- element constructors -------------------------------------------------
 
     def element(self, coeffs: Iterable[Rational]) -> FieldElement:
-        vec = tuple(Fraction(c) for c in coeffs)
+        """The element with these coefficients (ints or Fractions)."""
+        vec = tuple(coeffs)
         if len(vec) != self.degree:
             raise InvalidParameterError(
                 f"expected {self.degree} coefficients, got {len(vec)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraContext, Element, _label
+from .algebra import AlgebraContext, Element, bilinear, mul_table_json
 from .errors import (
     InvalidParameterError,
     UnsupportedModeError,
@@ -150,21 +150,7 @@ def gr_mul(weighting: ConcaveWeighting, u: WeylElement,
 
 
 def gr_product(weighting: ConcaveWeighting, a: Element, b: Element) -> Element:
-    alg = weighting.alg
-    out: Element = {}
-    for u, ca in a.items():
-        for v, cb in b.items():
-            scale = ca * cb
-            if scale.is_zero():
-                continue
-            for w, c in gr_mul(weighting, u, v).items():
-                acc = out.get(w)
-                new = c * scale if acc is None else acc + c * scale
-                if new.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = new
-    return out
+    return bilinear(lambda u, v: gr_mul(weighting, u, v), a, b)
 
 
 @dataclass
@@ -225,32 +211,20 @@ def limit_table(weighting: ConcaveWeighting) -> LimitReport:
     return LimitReport(True, pairs)
 
 
-def _mul_table_json(alg: AlgebraContext, basis, mul) -> dict:
-    names = {w: _label(w) for w in basis}
-    table = {}
-    for u in basis:
-        for v in basis:
-            table[f"{names[u]}*{names[v]}"] = [
-                {"w": names[w], "coeff": c.to_json()}
-                for w, c in sorted(mul(u, v).items())]
-    return {"n": alg.group.n, "basis": [names[w] for w in basis],
-            "field": alg.descr.to_json(), "table": table}
-
-
 def gr_table_json(weighting: ConcaveWeighting) -> dict:
     if weighting.alg.n_t is None:
         raise UnsupportedModeError("full table requires the finite case")
-    return _mul_table_json(weighting.alg, weighting.basis(),
-                           lambda u, v: gr_mul(weighting, u, v))
+    return mul_table_json(weighting.alg, weighting.basis(),
+                          lambda u, v: gr_mul(weighting, u, v))
 
 
 def limit_table_json(weighting: ConcaveWeighting) -> dict:
     if weighting.alg.n_t is None:
         raise UnsupportedModeError("full table requires the finite case")
-    return _mul_table_json(weighting.alg, weighting.basis(),
-                           lambda u, v: limit_mul(weighting, u, v))
+    return mul_table_json(weighting.alg, weighting.basis(),
+                          lambda u, v: limit_mul(weighting, u, v))
 
 
 def subalgebra_table_json(alg: AlgebraContext, side: int) -> dict:
     """Plain product table restricted to a one-sided subalgebra basis."""
-    return _mul_table_json(alg, alg.grassmannian_basis(side), alg.mul_basis)
+    return mul_table_json(alg, alg.grassmannian_basis(side), alg.mul_basis)

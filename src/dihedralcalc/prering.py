@@ -10,7 +10,9 @@ built on top:
 
 Products follow ball-intersection cardinalities: complementary classes of
 opposite types meet in a point (coefficient 1), oversized intersections in
-a thick building are infinite, undersized ones empty.
+a thick building are infinite, undersized ones empty.  ``mul`` is the
+package's shared ``algebra.bilinear`` over these coefficients, whose ``+``
+and ``*`` are those of Z2.
 
 enumerate_sigma lists the m-tuples whose flag product is a nonzero
 multiple of the point class.  Products are evaluated with same-type chains
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import bilinear
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -44,6 +47,12 @@ class PreRingCoeff:
 
     def to_json(self) -> str:
         return repr(self)
+
+    def __add__(self, other: "PreRingCoeff") -> "PreRingCoeff":
+        return Z2.add(self, other)
+
+    def __mul__(self, other: "PreRingCoeff") -> "PreRingCoeff":
+        return Z2.mul(self, other)
 
 
 class HatArithmetic:
@@ -93,10 +102,6 @@ class GrassPreRing:
     def unit(self) -> dict:
         return {self.dim: Z2.one}
 
-    def pd(self, r: int) -> int:
-        self._check(r)
-        return self.dim - r
-
     def mul_basis(self, r1: int, r2: int) -> dict:
         self._check(r1)
         self._check(r2)
@@ -112,21 +117,7 @@ class GrassPreRing:
         return {r3: Z2.inf}
 
     def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for r1, a in x.items():
-            for r2, b in y.items():
-                ab = Z2.mul(a, b)
-                if ab.is_zero():
-                    continue
-                for r3, c in self.mul_basis(r1, r2).items():
-                    c = Z2.mul(ab, c)
-                    if r3 in out:
-                        c = Z2.add(out[r3], c)
-                    if c.is_zero():
-                        out.pop(r3, None)
-                    else:
-                        out[r3] = c
-        return out
+        return bilinear(self.mul_basis, x, y)
 
     def product_chain(self, degrees: list[int]) -> dict:
         acc = self.unit()
@@ -149,15 +140,6 @@ class FlagPreRing:
     def basis(self) -> list[WeylElement]:
         return list(self.group.elements())
 
-    def unit(self) -> dict:
-        return {self.group.longest: Z2.one}
-
-    def point(self) -> dict:
-        return {IDENTITY: Z2.one}
-
-    def pd(self, w: WeylElement) -> WeylElement:
-        return self.group.pd(w)
-
     def mul_basis(self, u: WeylElement, v: WeylElement) -> dict:
         n = self.n
         if u.length == n:
@@ -179,21 +161,7 @@ class FlagPreRing:
                 self.group.element(r3, 2): Z2.inf}
 
     def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for u, a in x.items():
-            for v, b in y.items():
-                ab = Z2.mul(a, b)
-                if ab.is_zero():
-                    continue
-                for w, c in self.mul_basis(u, v).items():
-                    c = Z2.mul(ab, c)
-                    if w in out:
-                        c = Z2.add(out[w], c)
-                    if c.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = c
-        return out
+        return bilinear(self.mul_basis, x, y)
 
     def point_multiple(self, factors: tuple[WeylElement, ...]) -> PreRingCoeff:
         """Coefficient a with prod C_{u_i} = a * C_1, or zero if the product

@@ -101,11 +101,6 @@ class DihedralGroup:
             raise InvalidParameterError("side must be 1 or 2")
         return WeylElement(length, side)
 
-    def gen(self, i: int) -> WeylElement:
-        if i not in (1, 2):
-            raise InvalidParameterError("generator index must be 1 or 2")
-        return WeylElement(1, i)
-
     @property
     def longest(self) -> WeylElement:
         if self.n is None:

@@ -8,8 +8,6 @@ import hashlib
 import json
 import pathlib
 
-import pytest
-
 from dihedralcalc.acceptance import SUITES, _battery, run_suite
 from dihedralcalc.manifest import digest
 

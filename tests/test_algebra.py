@@ -386,3 +386,45 @@ def test_table_json_deterministic():
         {"w": "2.1", "coeff": ["1", "0"]},
         {"w": "2.2", "coeff": ["1", "0"]},
     ]
+
+
+# Every sparse product in the package (A_t and its graded, limit and
+# one-sided tables, the Kac-Moody side and the chain products behind gen_km)
+# shares one bilinear extension; this digest pins their bytes and term order.
+SPARSE_PRODUCTS_PIN = (
+    "4151da86c7902f36256ad3ff058ce3a4e26e691d61fdfeb7c617c84827600fda")
+
+
+def test_sparse_products_pinned():
+    from dihedralcalc.chevalley import KacMoodyContext
+    from dihedralcalc.cones import gen_km
+    from dihedralcalc.filtration import (
+        ConcaveWeighting,
+        gr_table_json,
+        limit_table_json,
+        subalgebra_table_json,
+    )
+    from dihedralcalc.manifest import digest
+
+    doc = {}
+    for n in range(2, 9):
+        alg = ctx(n)
+        doc[f"at{n}"] = alg.table_json()
+        doc[f"gr{n}"] = gr_table_json(ConcaveWeighting.full(alg))
+        doc[f"limit{n}"] = limit_table_json(ConcaveWeighting.full(alg))
+        for side in (1, 2):
+            doc[f"bi{n}.{side}"] = subalgebra_table_json(alg, side)
+    for n in range(2, 6):
+        for kind in ("at", "gr-at", "b1", "b2", "b", "gr-b1", "gr-b2",
+                     "gr-b"):
+            doc[f"km{n}.{kind}"] = [
+                [list(q.key), q.tag.to_json()]
+                for q in gen_km(n, 2, kind).inequalities]
+    for a12, a21 in ((1, 1), (2, 1), (1, 3)):
+        km = KacMoodyContext(a12, a21)
+        basis = list(km.group.elements())
+        doc[f"cartan{a12}{a21}"] = [
+            [repr(u), repr(v), [[repr(w), c.to_json()]
+                                for w, c in km.mul_basis(u, v).items()]]
+            for u in basis for v in basis]
+    assert digest(doc) == SPARSE_PRODUCTS_PIN

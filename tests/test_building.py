@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dihedralcalc.building import (
-    BarReport,
     ChamberGraph,
     WeightedConfiguration,
     antipodal,

@@ -372,3 +372,13 @@ def test_verify_single_suite(tmp_path, capsys):
     assert out.startswith("PASS classical")
     results = load(dest)["payload"]
     assert results[0]["suite"] == "classical" and results[0]["passed"]
+
+
+def test_verify_dest_is_deterministic(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for dest in (a, b):
+        run(tmp_path, "verify", "classical", "--dest", str(dest))
+        # the printed line still reports the run time
+        assert "s) " in capsys.readouterr().out
+    assert a.read_bytes() == b.read_bytes()
+    assert "seconds" not in load(a)["payload"][0]

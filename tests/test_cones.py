@@ -12,13 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc import lp
 from dihedralcalc.cones import (
-    AuditReport, ConeEqualityCertificate, DominantWeight, InequalitySystem,
-    LinearInequality, a1_product_system, antipode, audit_to_json,
-    chebyshev_ratio, cone_equal, embed_small, equality_to_json, evaluate_point,
-    facet_witness, gen_km, gen_sti, gen_wti, inequality_row, is_member,
-    lp_optimize, pairing_columns, redundancy_audit, row_values, small_field,
-    system_to_json, system_to_latex, theta_system, vertex_cartesian, w0_index,
-    witness_to_json,
+    AuditReport, DominantWeight, InequalitySystem, LinearInequality,
+    a1_product_system, antipode, audit_to_json, chebyshev_ratio, cone_equal,
+    embed_small, equality_to_json, evaluate_point, facet_witness, gen_km,
+    gen_sti, gen_wti, is_member, lp_optimize, pairing_columns,
+    redundancy_audit, row_values, small_field, system_to_json,
+    system_to_latex, theta_system, vertex_cartesian, w0_index, witness_to_json,
 )
 from dihedralcalc.errors import (BudgetExceededError, DomainError,
                                  InvalidParameterError)

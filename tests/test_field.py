@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc.errors import InvalidParameterError, UnsupportedModeError
 from dihedralcalc.field import (
-    FieldElement,
     cyclotomic_polynomial,
     element_from_json,
     field_init,

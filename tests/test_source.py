@@ -1,12 +1,16 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package, its tests and
+its scripts is used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dihedralcalc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dihedralcalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree):

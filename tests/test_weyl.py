@@ -11,7 +11,7 @@ from dihedralcalc.weyl import IDENTITY, DihedralGroup, WeylElement
 
 def from_word(group, word):
     """The product of the generators of a word, leftmost first."""
-    return reduce(group.compose, (group.gen(i) for i in word), IDENTITY)
+    return reduce(group.compose, (WeylElement(1, i) for i in word), IDENTITY)
 
 
 def circular_vertex_distance(group, a, b):
@@ -103,7 +103,7 @@ def test_length_is_cayley_distance(n):
     while queue:
         w = queue.popleft()
         for i in (1, 2):
-            nxt = group.compose(w, group.gen(i))
+            nxt = group.compose(w, WeylElement(1, i))
             if nxt not in dist:
                 dist[nxt] = dist[w] + 1
                 queue.append(nxt)
@@ -115,7 +115,7 @@ def test_length_is_cayley_distance(n):
 def test_relations():
     for n in range(2, 9):
         group = DihedralGroup(n)
-        s1, s2 = group.gen(1), group.gen(2)
+        s1, s2 = WeylElement(1, 1), WeylElement(1, 2)
         assert group.compose(s1, s1) == IDENTITY
         assert group.compose(s2, s2) == IDENTITY
         rot = group.compose(s1, s2)
@@ -190,7 +190,7 @@ def test_descent_matches_side(n):
     group = DihedralGroup(n)
 
     def has_descent(w, i):
-        return group.compose(w, group.gen(i)).length < w.length
+        return group.compose(w, WeylElement(1, i)).length < w.length
 
     for w in all_elements(group):
         if w.length == 0:
@@ -219,9 +219,9 @@ def test_ell_side_equals_circular_distance(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_vertex_action_basics(n):
     group = DihedralGroup(n)
-    assert group.vertex_index(group.gen(1), 1) == 0
-    assert group.vertex_index(group.gen(2), 2) == 1
-    rot = group.compose(group.gen(2), group.gen(1))
+    assert group.vertex_index(WeylElement(1, 1), 1) == 0
+    assert group.vertex_index(WeylElement(1, 2), 2) == 1
+    rot = group.compose(WeylElement(1, 2), WeylElement(1, 1))
     assert group.vertex_index(rot, 1) == 2
     assert group.vertex_index(rot, 2) == 3
     # action is a homomorphism: (uv)(zeta) = u(v as index map)
