@@ -38,7 +38,8 @@ class AlgebraContext:
         if descr.mode == "cyclotomic" and descr.n is None:
             raise UnsupportedModeError("descriptor carries no t-structure")
         self.descr = descr
-        self.n_t = descr.n_t
+        # n_t: order of t**2 in C^*; None encodes infinity
+        self.n_t = descr.n
         self.cap = cap
         self.group = DihedralGroup(descr.n if descr.mode == "cyclotomic" else None)
 
@@ -159,8 +160,6 @@ class AlgebraContext:
 
     def table_json(self) -> dict:
         """Full basis-by-basis multiplication table (finite case)."""
-        if self.n_t is None:
-            raise UnsupportedModeError("full table requires the finite case")
         return mul_table_json(self, self.basis(), self.mul_basis)
 
 
@@ -201,6 +200,8 @@ def bilinear(mul_basis: Callable, a: dict, b: dict) -> dict:
 def mul_table_json(alg: AlgebraContext, basis: list[WeylElement],
                    mul_basis: Callable) -> dict:
     """Basis-by-basis table of a product on the labels of ``basis``."""
+    if alg.n_t is None:
+        raise UnsupportedModeError("full table requires the finite case")
     names = {w: _label(w) for w in basis}
     table = {}
     for u in basis:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import AlgebraContext, Element, accumulate, bilinear
+from .algebra import AlgebraContext, Element, accumulate
 from .errors import (
     CapExceededError,
     InvalidParameterError,
@@ -121,9 +121,6 @@ class KacMoodyContext:
         scale = self.generator_power_scale(v)
         return {w: c / scale for w, c in acc.items()}
 
-    def mul(self, a: Element, b: Element) -> Element:
-        return bilinear(self.mul_basis, a, b)
-
     # -- W-action on the degree-one span ------------------------------------------
 
     def weyl_action_gen_degree_one(self, i: int, x: Element) -> Element:
@@ -173,8 +170,8 @@ class KacMoodyContext:
     def iso_map(self, x: Element, c1: FieldElement, c2: FieldElement) -> Element:
         return {w: c * self.iso_scale(w, c1, c2) for w, c in x.items()}
 
-    def iso_check(self, c1: FieldElement | int, c2: FieldElement | int,
-                  max_length: int | None = None) -> IsoReport:
+    def iso_check(self, c1: FieldElement | int,
+                  c2: FieldElement | int) -> IsoReport:
         """Verify that [X_w] -> scale(w) sigma_w is multiplicative and
         W-equivariant on generators."""
         if isinstance(c1, int):
@@ -187,10 +184,7 @@ class KacMoodyContext:
             raise UnsupportedCartanError(
                 "c1/c2 must equal sqrt(a12/a21) exactly")
         alg = self.algebra
-        if max_length is None:
-            max_length = self.group.n if self.group.n is not None \
-                else self.cap
-        basis = list(self.group.elements(max_length))
+        basis = alg.basis()
         checked = 0
         for u in basis:
             for v in basis:

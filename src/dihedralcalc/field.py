@@ -144,8 +144,6 @@ class FieldDescriptor:
             self.degree = 1
         else:
             raise InvalidParameterError(f"unknown mode {mode!r}")
-        # n_t: order of t**2 in C^*; None encodes infinity
-        self.n_t: int | None = n if mode == "cyclotomic" else None
         self._pow_rows = self._reduction_rows()
         self.zero = self.from_rational(0)
         self.one = self.from_rational(1)

@@ -212,15 +212,11 @@ def limit_table(weighting: ConcaveWeighting) -> LimitReport:
 
 
 def gr_table_json(weighting: ConcaveWeighting) -> dict:
-    if weighting.alg.n_t is None:
-        raise UnsupportedModeError("full table requires the finite case")
     return mul_table_json(weighting.alg, weighting.basis(),
                           lambda u, v: gr_mul(weighting, u, v))
 
 
 def limit_table_json(weighting: ConcaveWeighting) -> dict:
-    if weighting.alg.n_t is None:
-        raise UnsupportedModeError("full table requires the finite case")
     return mul_table_json(weighting.alg, weighting.basis(),
                           lambda u, v: limit_mul(weighting, u, v))
 

@@ -11,15 +11,17 @@ Solves  max c.x  subject to  A x <= b, x >= 0  and reports one of
 "infeasible".
 
 The simplex first runs on Python floats, with the same rule and values
-within ``TOL`` of each other taken as ties.  Its final basis is then
-certified exactly: its basis system is solved once in the field, and the
-basic solution must be primal feasible (x_B >= 0) and dual feasible
-(y >= 0, y.A >= c).  A certified basis is optimal by LP duality, so a
-wrong float answer costs time and never changes a result.  When the float
-pass stops without an optimal basis, cannot convert an input to float, or
-its basis fails a check, the exact tableau solves from a cold start
-(Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
-problems", Oper. Res. Lett. 2007).
+within ``TOL`` of each other taken as ties.  When the float pass stops
+without an optimal basis, cannot convert an input to float, or its basis
+fails a check, the exact tableau solves from a cold start.  Either way the
+answer comes from one place: ``_certify`` solves the final basis system
+once in the field and checks that the basic solution is primal feasible
+(x_B >= 0) and dual feasible (y >= 0, y.A >= c).  A certified basis is
+optimal by LP duality, so a wrong float answer costs time and never
+changes a result, and an exact basis that fails the check raises
+VerificationError (Applegate, Cook, Dash & Espinoza, "Exact solutions to
+linear programming problems", Oper. Res. Lett. 2007; McConnell et al.,
+"Certifying algorithms", Comput. Sci. Rev. 2011).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, VerificationError
 
 
 @dataclass
@@ -42,50 +44,35 @@ class LPResult:
 class _Tableau:
     """Dense simplex tableau; columns = structural + slack (+ artificial)."""
 
-    def __init__(self, rows, rhs, zero, one):
+    def __init__(self, rows, rhs, d, zero, one):
         self.zero = zero
         self.one = one
         self.tol = zero  # values closer than tol are equal
         self.m = len(rows)
-        self.d = len(rows[0]) if rows else 0
         self.iterations = 0
         self.rows: list[list] = []
         self.b: list = []
         self.basis: list[int] = []
-        self.active: list[bool] = [True] * self.m
-        n_cols = self.d + self.m
-        self.artificial_start = n_cols
-        artificials = []
+        self.artificial_start = d + self.m
+        artificials = []  # rows with a negative rhs, negated to b >= 0
         for i in range(self.m):
             body = [v + zero for v in rows[i]]
             slack = [zero] * self.m
             bi = rhs[i] + zero
-            sign = 1
             if bi < zero:
-                sign = -1
                 body = [-v for v in body]
                 bi = -bi
                 slack[i] = -one
+                self.basis.append(self.artificial_start + len(artificials))
+                artificials.append(i)
             else:
                 slack[i] = one
+                self.basis.append(d + i)
             self.rows.append(body + slack)
             self.b.append(bi)
-            if sign < 0:
-                artificials.append(i)
-                self.basis.append(-1)  # patched below
-            else:
-                self.basis.append(self.d + i)
-        for j, i in enumerate(artificials):
-            col = self.artificial_start + j
-            self.basis[i] = col
-        self.n_cols = n_cols + len(artificials)
-        if artificials:
-            for i in range(self.m):
-                ext = [self.zero] * len(artificials)
-                self.rows[i].extend(ext)
-            for j, i in enumerate(artificials):
-                self.rows[i][self.artificial_start + j] = one
-        self.has_artificials = bool(artificials)
+        for i, row in enumerate(self.rows):
+            row.extend([one if a == i else zero for a in artificials])
+        self.n_cols = self.artificial_start + len(artificials)
 
     # -- pivoting ------------------------------------------------------------
 
@@ -98,7 +85,7 @@ class _Tableau:
             self.b[i] = self.b[i] * inv
         bi = self.b[i]
         for k in range(self.m):
-            if k == i or not self.active[k]:
+            if k == i:
                 continue
             f = self.rows[k][j]
             if f:
@@ -110,12 +97,13 @@ class _Tableau:
             cbar[:] = [a - f * c if c else a for a, c in zip(cbar, row)]
         self.basis[i] = j
 
-    def _run(self, cbar: list, allowed: int) -> str:
-        """Bland loop: entering = lowest positive reduced cost < allowed."""
+    def _run(self, cbar: list) -> str:
+        """Bland loop: entering = lowest positive reduced cost among the
+        structural and slack columns (artificials never re-enter)."""
         tol, ntol = self.tol, -self.tol
         while True:
             enter = -1
-            for j in range(allowed):
+            for j in range(self.artificial_start):
                 if cbar[j] > tol:
                     enter = j
                     break
@@ -124,8 +112,6 @@ class _Tableau:
             leave = -1
             best = None
             for i in range(self.m):
-                if not self.active[i]:
-                    continue
                 a = self.rows[i][enter]
                 if a > tol:
                     ratio = self.b[i] / a
@@ -143,48 +129,40 @@ class _Tableau:
     def _reduced_costs(self, cost: list) -> list:
         cbar = list(cost) + [self.zero] * (self.n_cols - len(cost))
         for i in range(self.m):
-            if not self.active[i]:
-                continue
             f = cbar[self.basis[i]]
             if f:
                 row = self.rows[i]
                 cbar[:] = [a - f * c for a, c in zip(cbar, row)]
         return cbar
 
-    # -- phases ----------------------------------------------------------------
-
-    def phase_one(self) -> bool:
-        cost = [self.zero] * self.artificial_start + \
-            [-self.one] * (self.n_cols - self.artificial_start)
-        cbar = self._reduced_costs(cost)
-        self._run(cbar, self.artificial_start)  # artificials may not re-enter
-        total = self.zero
-        for i in range(self.m):
-            if self.active[i] and self.basis[i] >= self.artificial_start:
-                total = total + self.b[i]
-        if total > self.tol:
-            return False
-        # drive leftover zero-valued artificials out of the basis
-        for i in range(self.m):
-            if not self.active[i] or self.basis[i] < self.artificial_start:
-                continue
-            row = self.rows[i]
-            piv = -1
-            for j in range(self.artificial_start):
-                if row[j] > self.tol or row[j] < -self.tol:
-                    piv = j
-                    break
-            if piv < 0:
-                self.active[i] = False  # redundant original row
-            else:
-                dummy = [self.zero] * self.n_cols
-                self._pivot(i, piv, dummy)
-        return True
-
-    def phase_two(self, cost: list) -> tuple[str, list]:
-        cbar = self._reduced_costs(cost)
-        status = self._run(cbar, self.artificial_start)
-        return status, cbar
+    def solve(self, cost: list) -> str:
+        """Two-phase simplex for  max cost.x ; the final basis stays in
+        ``basis``.  Returns "optimal", "unbounded" or "infeasible"."""
+        start = self.artificial_start
+        if self.n_cols > start:
+            # phase one: maximize minus the sum of the artificials
+            phase_one = [self.zero] * start + \
+                [-self.one] * (self.n_cols - start)
+            self._run(self._reduced_costs(phase_one))
+            total = self.zero
+            for i in range(self.m):
+                if self.basis[i] >= start:
+                    total = total + self.b[i]
+            if total > self.tol:
+                return "infeasible"
+            # drive leftover zero-valued artificials out of the basis; every
+            # row of B^-1 [A | +-I] is nonzero because [A | +-I] has rank m,
+            # so only float rounding can leave a row without a pivot
+            for i in range(self.m):
+                if self.basis[i] < start:
+                    continue
+                row = self.rows[i]
+                piv = next((j for j in range(start)
+                            if row[j] > self.tol or row[j] < -self.tol), -1)
+                if piv < 0:
+                    raise ArithmeticError("artificial row left without pivot")
+                self._pivot(i, piv, [self.zero] * self.n_cols)
+        return self._run(self._reduced_costs(cost))
 
 
 TOL = 1e-9  # absolute: float values closer than this tie
@@ -198,9 +176,9 @@ class _FloatTableau(_Tableau):
     iteration takes on these tableaus.
     """
 
-    def __init__(self, rows, rhs):
+    def __init__(self, rows, rhs, d):
         super().__init__([[float(v) for v in row] for row in rows],
-                         [float(v) for v in rhs], 0.0, 1.0)
+                         [float(v) for v in rhs], d, 0.0, 1.0)
         self.tol = TOL
         self.budget = 50 * (self.m + self.n_cols)
 
@@ -214,18 +192,15 @@ def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
     """The final basis and pivot count of the float simplex, if optimal.
 
     A basis column j < len(objective) is structural, j - len(objective) a
-    slack.  None when the pass is infeasible, unbounded, cannot convert an
-    input, or leaves a redundant row (with an artificial in its basis).
+    slack.  None when the pass is infeasible or unbounded, cannot convert
+    an input, runs out of pivots or cannot drive an artificial out.
     """
     try:
-        t = _FloatTableau(rows, rhs)
-        if t.has_artificials and not t.phase_one():
-            return None
-        cost = [float(c) for c in objective]
-        status, _ = t.phase_two(cost + [0.0] * (t.n_cols - len(cost)))
+        t = _FloatTableau(rows, rhs, len(objective))
+        status = t.solve([float(c) for c in objective])
     except (ArithmeticError, TypeError):
         return None
-    if status != "optimal" or not all(t.active):
+    if status != "optimal":
         return None
     return t.basis, t.iterations
 
@@ -233,12 +208,13 @@ def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
 def _certify(rows, rhs, cvec, basis, zero, one) -> tuple[list, list] | None:
     """(x, y) of the basis over [A | I] if it is exactly optimal, else None.
 
-    x is the basic solution on the structural columns and y = c_B B^-1 the
-    row multipliers.  The checks are that B is nonsingular, x_B >= 0,
-    y >= 0 (slack reduced costs) and y.A >= c (structural reduced costs).
-    A basic slack is a unit column of B, so only the square block K of the
-    basic structural columns J on the rows R whose slack is nonbasic needs
-    solving: K x_J = b_R and y_R K = c_J, with y = 0 off R.
+    Every optimal LPResult is built from this output, for float and exact
+    bases alike.  x is the basic solution on the structural columns and
+    y = c_B B^-1 the row multipliers.  The checks are that B is nonsingular,
+    x_B >= 0, y >= 0 (slack reduced costs) and y.A >= c (structural reduced
+    costs).  A basic slack is a unit column of B, so only the square block K
+    of the basic structural columns J on the rows R whose slack is nonbasic
+    needs solving: K x_J = b_R and y_R K = c_J, with y = 0 off R.
     """
     m, d = len(rows), len(cvec)
     cols = [j for j in basis if j < d]
@@ -310,10 +286,11 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     """Exact simplex for  max c.x  s.t.  rows[i].x <= rhs[i], x >= 0.
 
     The dual list contains one multiplier per constraint row, normalized for
-    the maximization form: y >= 0, y.A >= c componentwise on the support of
-    x, and y.b equals the optimum.  Every result is exact: a float-pass
-    basis is used only once certified, and ``iterations`` counts the pivots
-    of the pass whose basis is returned.
+    the maximization form: y >= 0, y.A >= c componentwise, and y.b equals
+    the optimum.  Every optimum is certified exactly, whether its basis
+    came from the float pass or the exact cold start, and ``iterations``
+    counts the pivots of the pass whose basis is returned.  Raises
+    VerificationError if an exact optimal basis fails its certificate.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -325,38 +302,23 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     one = zero + 1
     cvec = [c + zero for c in objective]
 
-    if m == 0:
-        # only x >= 0: optimum at 0 unless some cost coefficient is positive
-        if any(c > zero for c in cvec):
-            return LPResult("unbounded")
-        return LPResult("optimal", zero, [zero] * d, [], 0)
-
     found = _float_basis(rows, rhs, cvec)
+    certified = None
     if found is not None:
         basis, pivots = found
         certified = _certify(rows, rhs, cvec, basis, zero, one)
-        if certified is not None:
-            x, dual = certified
-            return LPResult("optimal", _value(cvec, x, zero), x, dual, pivots)
-
-    t = _Tableau(rows, rhs, zero, one)
-    if t.has_artificials and not t.phase_one():
-        return LPResult("infeasible", iterations=t.iterations)
-    cost = cvec + [zero] * (t.n_cols - d)
-    status, cbar = t.phase_two(cost)
-    if status == "unbounded":
-        return LPResult("unbounded", iterations=t.iterations)
-
-    x = [zero] * d
-    for i in range(t.m):
-        if t.active[i] and t.basis[i] < d:
-            x[t.basis[i]] = t.b[i]
-    # reduced cost of slack i is -y_i in both orientations: flipping a row
-    # negates the slack column and the stored rhs together
-    dual = []
-    for i in range(t.m):
-        dual.append(zero if not t.active[i] else -cbar[d + i])
-    return LPResult("optimal", _value(cvec, x, zero), x, dual, t.iterations)
+    if certified is None:
+        t = _Tableau(rows, rhs, d, zero, one)
+        status = t.solve(cvec)
+        if status != "optimal":
+            return LPResult(status, iterations=t.iterations)
+        pivots = t.iterations
+        certified = _certify(rows, rhs, cvec, t.basis, zero, one)
+        if certified is None:
+            raise VerificationError(
+                "exact simplex basis failed its optimality check")
+    x, dual = certified
+    return LPResult("optimal", _value(cvec, x, zero), x, dual, pivots)
 
 
 def _value(cvec, x, zero):

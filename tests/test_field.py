@@ -83,9 +83,9 @@ def test_hyperbolic_descriptor():
     descr = field_init(t=2)
     assert descr.degree == 1
     assert descr.theta.as_fraction() == Fraction(5, 2)
-    assert descr.n_t is None
+    assert descr.n is None
     one = field_init(t=1)
-    assert one.n_t is None
+    assert one.n is None
     assert one.theta.as_fraction() == 2
 
 

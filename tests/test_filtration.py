@@ -258,10 +258,20 @@ def test_grass_degree_relabeling():
     assert grass_degree(a, 2, w(3, 2)) == 2
 
 
-def test_limit_requires_finite_mode():
+FINITE_ONLY = {
+    "limit_table": lambda a: limit_table(ConcaveWeighting.full(a)),
+    "table_json": lambda a: a.table_json(),
+    "gr_table_json": lambda a: gr_table_json(ConcaveWeighting.full(a)),
+    "limit_table_json": lambda a: limit_table_json(ConcaveWeighting.full(a)),
+    "subalgebra_table_json": lambda a: subalgebra_table_json(a, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ONLY))
+def test_tables_require_finite_mode(name):
     a = AlgebraContext(field_init(t=Fraction(2)), cap=6)
     with pytest.raises(UnsupportedModeError):
-        limit_table(ConcaveWeighting.full(a))
+        FINITE_ONLY[name](a)
 
 
 # -- exports --------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dihedralcalc import lp
+from dihedralcalc.errors import VerificationError
 from dihedralcalc.field import field_init, real_cyclotomic
 from dihedralcalc.lp import LPResult, lp_solve
 
@@ -226,15 +227,26 @@ def test_float_pass_that_gives_up_falls_back():
     rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3],
             [0, 0, 1, 0]]
     rhs, obj = [0, 0, 1], [F(3, 4), -150, F(1, 50), -6]
-    t = lp._FloatTableau(rows, rhs)
+    t = lp._FloatTableau(rows, rhs, len(obj))
     t.budget = 0
     with pytest.raises(ArithmeticError):
-        t.phase_two([float(c) for c in obj] + [0.0] * 3)
+        t.solve([float(c) for c in obj])
     with mock.patch.object(lp._FloatTableau, "_pivot",
                            side_effect=ArithmeticError):
         res = lp_solve(rows, rhs, obj, zero=ZERO)
     assert res == cold_solve(rows, rhs, obj)
     assert res.optimum == F(1, 20)
+
+
+def test_uncertified_optimum_raises():
+    # the cold path certifies its optimum too; statuses need no certificate
+    with mock.patch.object(lp, "_certify", return_value=None):
+        with pytest.raises(VerificationError):
+            lp_solve(*TWO_ROWS, zero=ZERO)
+        assert lp_solve([[1, -1]], [1], [1, 1],
+                        zero=ZERO).status == "unbounded"
+        assert lp_solve([[-1], [1]], [-1, F(1, 2)], [1],
+                        zero=ZERO).status == "infeasible"
 
 
 def test_certified_float_basis_matches_cold_path():
@@ -262,16 +274,26 @@ def test_float_overflow_solves_exactly():
 
 
 _coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# zero right-hand sides make degenerate vertices, negative ones phase-one rows
+_rhs = st.sampled_from([F(0), F(0), F(-1), F(-1, 2)]) | _coeff
 
 
 @st.composite
 def small_lps(draw):
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
     d = draw(st.integers(1, 4))
-    rows = [[draw(_coeff) for _ in range(d)] for _ in range(m)]
-    # zero right-hand sides make degenerate vertices, negative ones phase-one rows
-    rhs = [draw(st.sampled_from([F(0), F(0), F(-1), F(-1, 2)]) | _coeff)
-           for _ in range(m)]
+    rows, rhs = [], []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            # a repeated, scaled or negated earlier row makes A rank-deficient,
+            # so phase one has zero-valued artificials to drive out
+            k = draw(st.integers(0, len(rows) - 1))
+            s = draw(st.sampled_from([F(1), F(2), F(-1), F(-1, 2)]))
+            rows.append([s * v for v in rows[k]])
+            rhs.append(draw(st.just(s * rhs[k]) | _rhs))
+        else:
+            rows.append([draw(_coeff) for _ in range(d)])
+            rhs.append(draw(_rhs))
     obj = [draw(_coeff) for _ in range(d)]
     return rows, rhs, obj
 
