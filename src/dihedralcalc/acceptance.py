@@ -215,18 +215,16 @@ def suite_cones() -> SuiteResult:
     certificates = 0
     for n in range(2, 7):
         for m in (3, 4):
-            cache: dict = {}
-            cert = cone_equal(gen_wti(n, m), gen_sti(n, m), cache=cache)
+            cert = cone_equal(gen_wti(n, m), gen_sti(n, m))
             certificates += 1
             if not cert.equal:
                 return clock.done({"n": n, "m": m}, {
                     "pair": "wti/sti", "n": n, "m": m,
                     "separating_key": cert.counterexample.inequality.key})
+            # one target object: its remembered verdicts serve all kinds
             big = gen_wti(n, m + 1)
-            cache = {}
             for kind in ("at", "gr-at", "b"):
-                cert = cone_equal(theta_system(gen_km(n, m, kind)), big,
-                                  cache=cache)
+                cert = cone_equal(theta_system(gen_km(n, m, kind)), big)
                 certificates += 1
                 if not cert.equal:
                     return clock.done({"n": n, "m": m}, {
@@ -264,7 +262,7 @@ def suite_classical() -> SuiteResult:
         return clock.done({}, {"check": "key-set",
                               "only_oracle": sorted(oracle.key_set - wti.key_set),
                               "only_wti": sorted(wti.key_set - oracle.key_set)})
-    cert = cone_equal(wti, oracle, cache={})
+    cert = cone_equal(wti, oracle)
     if not cert.equal:
         return clock.done({}, {"check": "cone-equal",
                               "separating_key": cert.counterexample.inequality.key})

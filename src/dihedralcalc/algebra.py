@@ -17,7 +17,7 @@ They differ only in the structure constants and the coefficient system.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import CapExceededError, InvalidParameterError, UnsupportedModeError
 from .field import (
@@ -51,10 +51,10 @@ class AlgebraContext:
     def unit(self) -> Element:
         return {self.group.identity: self.descr.one}
 
-    def basis(self, max_length: int | None = None) -> list[WeylElement]:
-        if max_length is None and self.n_t is None:
-            max_length = self.cap
-        return list(self.group.elements(max_length))
+    def basis(self) -> list[WeylElement]:
+        # the infinite group has no top degree: stop at the cap
+        top = self.cap if self.n_t is None else None
+        return list(self.group.elements(top))
 
     def grassmannian_basis(self, i: int) -> list[WeylElement]:
         """Labels of the subalgebra generated by one-sided classes: the unit
@@ -121,12 +121,6 @@ class AlgebraContext:
 
     def mul(self, a: Element, b: Element) -> Element:
         return bilinear(self.mul_basis, a, b)
-
-    def product_chain(self, ws: Iterable[WeylElement]) -> Element:
-        acc = self.unit()
-        for w in ws:
-            acc = self.mul(acc, self.sigma(w))
-        return acc
 
     def power(self, a: Element, k: int) -> Element:
         out = self.unit()

@@ -578,9 +578,8 @@ def census_rounds(
     chambers: list[Chamber],
     radii: list[int],
     l: int,
-    rounds: int = 3,
 ) -> CensusReport:
-    """Track the census over growth rounds and classify the outcome.
+    """Track the census over three growth rounds and classify the outcome.
 
     When every radius pair sums to at least n, each round attaches a pod
     with the given radii (adding a fresh intersection point); otherwise no
@@ -595,7 +594,7 @@ def census_rounds(
     can_pod = all(
         radii[i] + radii[j] >= n for i in range(len(radii)) for j in range(i + 1, len(radii))
     )
-    for _ in range(max(rounds, 3)):
+    for _ in range(3):
         if can_pod:
             g2 = attach_mpod(g2, chambers, radii, l).graph
         else:
@@ -777,7 +776,6 @@ def construct_semistable(
     weights: list[DominantWeight],
     seed: int = 0,
     rounds: int = 2,
-    cap: int = 64,
 ) -> SemistableReport:
     """Decide semistability geometrically for weights on antipodal chambers.
 
@@ -801,7 +799,7 @@ def construct_semistable(
         scans = []
         for rnd in range(rounds + 1):
             if rnd > 0:
-                g = bar_step(g, cap=cap).graph
+                g = bar_step(g).graph
                 config = WeightedConfiguration(g, chambers, weights)
             entry = {"round": rnd, "vertices": g.num_vertices}
             for l in (1, 2):

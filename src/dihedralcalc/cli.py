@@ -194,7 +194,7 @@ def _cmd_audit(args) -> int:
 def _cmd_equal(args) -> int:
     sys_a = system_from_spec(args.a, args.n, args.m)
     sys_b = system_from_spec(args.b, args.n, args.m)
-    cert = cone_equal(sys_a, sys_b, cache={})
+    cert = cone_equal(sys_a, sys_b)
     payload = equality_to_json(sys_a, sys_b, cert)
     parameters = {"a": args.a, "b": args.b, "n": args.n, "m": args.m}
     _emit_json(args, "equal", parameters, payload,

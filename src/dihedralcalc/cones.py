@@ -18,9 +18,7 @@ cos(pi/n); exports embed witnesses into the ambient coefficient field.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -103,12 +101,6 @@ class DominantWeight:
     def is_dominant(self) -> bool:
         return self.a >= 0 and self.b >= 0
 
-    def star(self, n: int) -> "DominantWeight":
-        # -w0 fixes the chamber pointwise when n is even, swaps rays when odd
-        if n % 2 == 0:
-            return self
-        return DominantWeight(self.b, self.a)
-
     def to_json(self) -> list[str]:
         return [str(self.a), str(self.b)]
 
@@ -164,16 +156,14 @@ class InequalitySystem:
     slots: int
     inequalities: list[LinearInequality]
     meta: dict = dc_field(default_factory=dict)
-    _rows: dict = dc_field(default_factory=dict, repr=False)
+    _rows: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # key -> _implied_over verdict with this system as the target
+    _verdicts: dict = dc_field(default_factory=dict, repr=False,
+                               compare=False)
 
     @property
     def key_set(self) -> frozenset:
         return frozenset(q.key for q in self.inequalities)
-
-    @property
-    def fingerprint(self) -> str:
-        blob = json.dumps([self.n, self.slots, sorted(self.key_set)])
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def row(self, key: tuple[int, ...]) -> tuple:
         cached = self._rows.get(key)
@@ -619,14 +609,13 @@ def _dominated_by(row, other) -> bool:
     return all(a <= b for a, b in zip(row, other))
 
 
-def _implied_over(target: InequalitySystem, key: tuple,
-                  cache: dict | None) -> tuple[str, object, object]:
+def _implied_over(target: InequalitySystem,
+                  key: tuple) -> tuple[str, object, object]:
     """Is  row(key) <= 0  forced by the target system on dominant points?"""
-    token = (target.fingerprint, key)
-    if cache is not None and token in cache:
-        return cache[token]
+    result = target._verdicts.get(key)
+    if result is not None:
+        return result
     zero = small_field(target.n).zero
-    result = None
     if key in target.key_set:
         result = ("implied", "duplicate", None)
     else:
@@ -641,13 +630,13 @@ def _implied_over(target: InequalitySystem, key: tuple,
             result = ("separates", "lp", res)
         else:
             result = ("implied", "lp", res)
-    if cache is not None:
-        cache[token] = result
+    target._verdicts[key] = result
     return result
 
 
-def _direction(source: InequalitySystem, target: InequalitySystem,
-               cache: dict | None) -> tuple[list[ImplicationEntry], ImplicationEntry | None]:
+def _direction(
+    source: InequalitySystem, target: InequalitySystem,
+) -> tuple[list[ImplicationEntry], ImplicationEntry | None]:
     sym = tuple(target.meta.get("symmetric_slots") or ())
     reps: dict[tuple, tuple] = {}
     entries = []
@@ -657,7 +646,7 @@ def _direction(source: InequalitySystem, target: InequalitySystem,
             entries.append(ImplicationEntry(q, reps[rep][0], "orbit",
                                             via=rep))
             continue
-        status, method, res = _implied_over(target, rep, cache)
+        status, method, res = _implied_over(target, rep)
         reps[rep] = (status, method)
         entry = ImplicationEntry(q, status, method, via=rep if rep != q.key else None)
         if res is not None:
@@ -669,20 +658,22 @@ def _direction(source: InequalitySystem, target: InequalitySystem,
     return entries, None
 
 
-def cone_equal(sys_a: InequalitySystem, sys_b: InequalitySystem,
-               cache: dict | None = None) -> ConeEqualityCertificate:
+def cone_equal(sys_a: InequalitySystem,
+               sys_b: InequalitySystem) -> ConeEqualityCertificate:
     """Mutual implication of two systems over the dominant region.
 
     Symmetric-slot metadata of the target side reduces each direction to
     orbit representatives; every representative is settled by duplicate
-    lookup, entrywise domination, or an exact LP.
+    lookup, entrywise domination, or an exact LP.  A target system
+    remembers the verdicts asked of it, so comparing several systems
+    against one target object solves each LP once.
     """
     if sys_a.n != sys_b.n or sys_a.slots != sys_b.slots:
         raise InvalidParameterError("systems are not comparable")
-    forward, bad = _direction(sys_a, sys_b, cache)
+    forward, bad = _direction(sys_a, sys_b)
     if bad is not None:
         return ConeEqualityCertificate(False, forward, [], bad)
-    backward, bad = _direction(sys_b, sys_a, cache)
+    backward, bad = _direction(sys_b, sys_a)
     if bad is not None:
         return ConeEqualityCertificate(False, forward, backward, bad)
     return ConeEqualityCertificate(True, forward, backward)

@@ -160,8 +160,10 @@ class FieldDescriptor:
     # -- construction checks ------------------------------------------------
 
     def _verify_root_interval(self) -> None:
-        # the intended root 2*cos(2*pi/N) must lie in a 1e-9 window
-        with mpmath.workdps(40):
+        # the intended root 2*cos(2*pi/N) must lie in a 1e-9 window; Horner's
+        # rule there cancels terms that grow exponentially with the degree,
+        # so the working precision grows with the degree too
+        with mpmath.workdps(40 + self.degree):
             target = 2 * mpmath.cos(2 * mpmath.pi / self.N)
             lo = self._eval_min_poly(target - mpmath.mpf("1e-9"))
             hi = self._eval_min_poly(target + mpmath.mpf("1e-9"))
@@ -320,7 +322,6 @@ def _element(descr: FieldDescriptor, num: tuple[int, ...],
     e.descr = descr
     e.num = num
     e.den = den
-    e._sign = None
     return e
 
 
@@ -334,7 +335,7 @@ class FieldElement:
     Fractions.
     """
 
-    __slots__ = ("descr", "num", "den", "_sign")
+    __slots__ = ("descr", "num", "den")
 
     def __init__(self, descr: FieldDescriptor, coeffs: Sequence[Rational]):
         # over the lcm of lowest-terms denominators the numerators are
@@ -344,7 +345,6 @@ class FieldElement:
         self.descr = descr
         self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.den = den
-        self._sign: int | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -508,11 +508,6 @@ class FieldElement:
         return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:
-        if self._sign is None:
-            self._sign = self._compute_sign()
-        return self._sign
-
-    def _compute_sign(self) -> int:
         if self.is_zero():
             return 0
         # den > 0, so the sign is that of the numerator polynomial at theta

@@ -6,8 +6,8 @@ case) the longest element carry side None.  Internally every element is an
 affine map k -> eps*k + c on vertex indices: the 2n-gon has a vertex at
 angle k*pi/n for each k, type 1 at even k, type 2 at odd k, and the base
 chamber is the edge {0, 1}.  The generators act by s1: k -> -k and
-s2: k -> 2 - k, so composition, inversion, and the vertex action are all
-O(1) integer arithmetic.
+s2: k -> 2 - k, so composition and the vertex action are O(1) integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -114,27 +114,6 @@ class DihedralGroup:
         ev, cv = self._to_map(v)
         return self._from_map(eu * ev, eu * cv + cu)
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        eps, c = self._to_map(w)
-        return self._from_map(eps, -eps * c)
-
-    # -- words ----------------------------------------------------------------
-
-    def word(self, w: WeylElement) -> list[int]:
-        """A reduced word, leftmost generator first; ties resolved ending in s1."""
-        ln, side = w
-        if ln == 0:
-            return []
-        if side is None:
-            side = 1
-        out = []
-        cur = side
-        for _ in range(ln):
-            out.append(cur)
-            cur = 3 - cur
-        out.reverse()
-        return out
-
     # -- enumeration ---------------------------------------------------------
 
     def elements(self, max_length: int | None = None) -> Iterator[WeylElement]:
@@ -167,11 +146,6 @@ class DihedralGroup:
     def pd(self, w: WeylElement) -> WeylElement:
         """Poincare duality on labels: w -> w0 * w."""
         return self.compose(self.longest, w)
-
-    def star(self, w: WeylElement) -> WeylElement:
-        """The involution w -> w0 * w * w0 (identity for even n)."""
-        w0 = self.longest
-        return self.compose(self.compose(w0, w), w0)
 
     # -- vertex action ------------------------------------------------------
 

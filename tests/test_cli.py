@@ -59,6 +59,14 @@ def test_cone_json_artifact(tmp_path):
     assert len(payload["inequalities"]) == len(gen_wti(3, 3).inequalities)
 
 
+def test_cone_high_degree_field(tmp_path):
+    # n = 101 works over a degree-100 field
+    dest = tmp_path / "wti.json"
+    run(tmp_path, "cone", "--system", "wti", "--n", "101", "--m", "2",
+        "--dest", str(dest))
+    assert load(dest)["payload"]["n"] == 101
+
+
 def test_cone_default_filename(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(tmp_path, "cone", "--system", "wti", "--n", "3", "--m", "3",

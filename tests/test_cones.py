@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dihedralcalc import lp
+from dihedralcalc import cones, lp
 from dihedralcalc.cones import (
     AuditReport, DominantWeight, InequalitySystem, LinearInequality,
     a1_product_system, antipode, audit_to_json, chebyshev_ratio, cone_equal,
@@ -31,6 +31,11 @@ F = Fraction
 def approx(e) -> float:
     g = 2 * math.cos(2 * math.pi / e.descr.N)
     return sum(float(c) * g ** i for i, c in enumerate(e.coeffs))
+
+
+def star(w, n):
+    """The contragredient weight -w0(w): the two rays swap when n is odd."""
+    return w if n % 2 == 0 else DominantWeight(w.b, w.a)
 
 
 def vertex_ray(n, k):
@@ -111,9 +116,16 @@ def test_antipode_and_w0():
 
 def test_weight_star():
     w = DominantWeight(2, 3)
-    assert w.star(4) == w
-    assert w.star(3) == DominantWeight(3, 2)
-    assert w.star(3).star(3) == w
+    assert star(w, 4) == w
+    assert star(w, 3) == DominantWeight(3, 2)
+    assert star(star(w, 3), 3) == w
+    # -w0 on weights and on vertices preserves the pairing
+    for n in (2, 3, 4, 5):
+        col_a, col_b = pairing_columns(n)
+        s, idx = star(w, n), DihedralGroup(n).star_index
+        for k in range(2 * n):
+            assert s.a * col_a[idx(k)] + s.b * col_b[idx(k)] \
+                == w.a * col_a[k] + w.b * col_b[k]
     assert DominantWeight(-1, 0).is_dominant() is False
 
 
@@ -241,7 +253,7 @@ def test_member_zero_pair_and_regular_points():
     lam = DominantWeight(7, 2)
     rho = DominantWeight(1, 1)
     assert is_member(sys, [zero, zero, zero]).member
-    assert is_member(sys, [lam, lam.star(3), zero]).member
+    assert is_member(sys, [lam, star(lam, 3), zero]).member
     assert is_member(sys, [rho, rho, rho]).member
     # a lone nonzero weight violates the degenerate triangle
     assert not is_member(sys, [zero, zero, lam]).member
@@ -296,7 +308,7 @@ def test_member_permutation_invariance(coords, perm):
 def test_member_star_invariance(n, coords):
     sys = gen_wti(n, 3)
     ws = [DominantWeight(a, b) for a, b in coords]
-    starred = [w.star(n) for w in ws]
+    starred = [star(w, n) for w in ws]
     assert is_member(sys, ws).member == is_member(sys, starred).member
 
 
@@ -359,7 +371,7 @@ def test_sti_audit_facets_are_exactly_wti():
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 4), (5, 4)])
 def test_cone_equal_sti_wti(n, m):
-    cert = cone_equal(gen_sti(n, m), gen_wti(n, m), cache={})
+    cert = cone_equal(gen_sti(n, m), gen_wti(n, m))
     assert cert.equal
     assert cert.counterexample is None
     assert all(e.status == "implied" for e in cert.forward)
@@ -367,7 +379,7 @@ def test_cone_equal_sti_wti(n, m):
 
 
 def test_cone_equal_uses_shortcuts():
-    cert = cone_equal(gen_sti(4, 4), gen_wti(4, 4), cache={})
+    cert = cone_equal(gen_sti(4, 4), gen_wti(4, 4))
     methods = {e.method for e in cert.forward}
     assert "duplicate" in methods and "orbit" in methods
 
@@ -375,7 +387,7 @@ def test_cone_equal_uses_shortcuts():
 def test_cone_equal_detects_strictly_smaller_system():
     sys = gen_wti(3, 3)
     sub = InequalitySystem(3, 3, sys.inequalities[1:], dict(sys.meta))
-    cert = cone_equal(sys, sub, cache={})
+    cert = cone_equal(sys, sub)
     assert not cert.equal
     bad = cert.counterexample
     assert bad is not None and bad.inequality.key == sys.inequalities[0].key
@@ -397,24 +409,38 @@ def test_cone_equal_a1_oracle():
 
 
 def test_cone_equal_theta_correspondence():
-    cache = {}
     for n, m in ((3, 3), (4, 3)):
         wti = gen_wti(n, m + 1)
         for kind in ("at", "gr-at", "b", "gr-b"):
-            cert = cone_equal(theta_system(gen_km(n, m, kind)), wti, cache)
+            cert = cone_equal(theta_system(gen_km(n, m, kind)), wti)
             assert cert.equal, (n, m, kind)
 
 
-def test_km_cache_reuse_across_kinds():
-    cache = {}
+def test_km_cache_reuse_across_kinds(monkeypatch):
+    solves = []
+
+    def counted(system, row):
+        solves.append(system)
+        return lp_optimize(system, row)
+
+    monkeypatch.setattr(cones, "lp_optimize", counted)
     wti = gen_wti(4, 4)
-    cone_equal(gen_sti(4, 4), wti, cache)
-    lp_before = sum(1 for v in cache.values() if v[1] == "lp")
-    cert = cone_equal(theta_system(gen_km(4, 3, "at")), wti, cache)
+    cone_equal(gen_sti(4, 4), wti)
+    lp_before = len(solves)
+    cert = cone_equal(theta_system(gen_km(4, 3, "at")), wti)
     assert cert.equal
-    # the theta image coincides with the stability system: no new LP solves
-    lp_after = sum(1 for v in cache.values() if v[1] == "lp")
-    assert lp_after == lp_before and lp_before > 0
+    # the theta image coincides with the stability system, and wti
+    # remembers its verdicts: no new LP solves
+    assert len(solves) == lp_before and lp_before > 0
+
+
+def test_system_equality_ignores_memos():
+    a, b = gen_wti(3, 3), gen_wti(3, 3)
+    assert a == b
+    a.rows()
+    assert a == b
+    cone_equal(gen_sti(3, 3), a)
+    assert a._verdicts and a == b
 
 
 # -- coherence sampling ----------------------------------------------------------

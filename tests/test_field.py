@@ -79,6 +79,19 @@ def test_real_cyclotomic_root(N):
     assert tuple(int(c) for c in descr.min_poly) == real_subfield_min_poly(N)
 
 
+@pytest.mark.parametrize("make,degree", [
+    (lambda: field_init(101), 100),
+    (lambda: real_cyclotomic(199), 99),
+], ids=["field_init-101", "real_cyclotomic-199"])
+def test_root_check_at_high_degree(make, degree):
+    # near the root Horner's rule cancels terms that grow with the degree;
+    # a fixed working precision lost the sign change at degree about 100
+    descr = make()
+    assert descr.degree == degree
+    target = 2 * math.cos(2 * math.pi / descr.N)
+    assert float(descr.theta) == pytest.approx(target, abs=1e-12)
+
+
 def test_hyperbolic_descriptor():
     descr = field_init(t=2)
     assert descr.degree == 1
