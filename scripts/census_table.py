@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from dihedralcalc.building import ChamberGraph, census_rounds, census_to_csv, \
-    find_antipodal_tuple
+from dihedralcalc.building import ChamberGraph, census_classified, \
+    census_prediction, census_rounds, census_to_csv, find_antipodal_tuple
 from dihedralcalc.prering import GrassPreRing
 
 
@@ -29,16 +29,6 @@ class CensusConfig:
     out: Path = Path("census.csv")
 
 
-def product_label(ring: GrassPreRing, radii) -> str:
-    prod = ring.product_chain(sorted(radii))
-    if not prod:
-        return "0"
-    ((deg, coeff),) = prod.items()
-    if deg == 0 and coeff.finite:
-        return str(coeff.residue)
-    return "inf"
-
-
 def run(cfg: CensusConfig) -> None:
     rows = []
     agree = total = 0
@@ -48,15 +38,13 @@ def run(cfg: CensusConfig) -> None:
                                    cfg.m)
         for radii in itertools.combinations_with_replacement(
                 range(1, n), cfg.m):
-            pair_sums = [radii[i] + radii[j] for i in range(cfg.m)
-                         for j in range(i + 1, cfg.m)]
-            in_regime = sum(radii) >= (n - 1) * (cfg.m - 1)
-            if not in_regime and all(p >= n - 1 for p in pair_sums):
-                continue  # unclassified middle ground, skip
-            label = product_label(ring, radii)
+            if not census_classified(n, radii):
+                continue
+            expected = census_prediction(ring, radii)
+            # the table writes an infinite coefficient as "inf"
+            label = "inf" if expected == "growing" else expected
             for l in (1, 2):
                 out = census_rounds(tup.graph, tup.chambers, list(radii), l)
-                expected = "growing" if label == "inf" else label
                 total += 1
                 agree += out.outcome == expected
                 rows.append({

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import AlgebraContext
-from .building import ChamberGraph, census_rounds, construct_semistable, \
-    find_antipodal_tuple, girth
+from .building import ChamberGraph, census_classified, census_prediction, \
+    census_rounds, construct_semistable, find_antipodal_tuple, girth
 from .chevalley import KacMoodyContext
 from .cones import DominantWeight, a1_product_system, cone_equal, gen_km, \
     gen_sti, gen_wti, redundancy_audit, row_values, small_field, theta_system
@@ -271,16 +271,6 @@ def suite_classical() -> SuiteResult:
 
 # -- 8: ball-intersection census vs pre-ring ---------------------------------------
 
-def _product_class(ring: GrassPreRing, radii: tuple[int, ...]) -> str:
-    prod = ring.product_chain(sorted(radii))
-    if not prod:
-        return "0"
-    ((deg, coeff),) = prod.items()
-    if deg == 0 and coeff.finite:
-        return str(coeff.residue)
-    return "growing"
-
-
 def suite_census() -> SuiteResult:
     clock = _Clock("census")
     runs = 0
@@ -307,12 +297,9 @@ def suite_census() -> SuiteResult:
             tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=11), m)
             for radii in itertools.combinations_with_replacement(
                     range(1, n), m):
-                pair_sums = [radii[i] + radii[j]
-                             for i in range(m) for j in range(i + 1, m)]
-                in_regime = sum(radii) >= (n - 1) * (m - 1)
-                if not in_regime and all(p >= n - 1 for p in pair_sums):
-                    continue  # outside both classified regimes
-                expected = _product_class(ring, radii)
+                if not census_classified(n, radii):
+                    continue
+                expected = census_prediction(ring, radii)
                 for l in (1, 2):
                     out = census_rounds(tup.graph, tup.chambers, list(radii), l)
                     runs += 1

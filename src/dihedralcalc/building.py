@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .cones import DominantWeight, gen_wti, is_member, pairing_columns, small_field
 from .errors import BudgetExceededError, DomainError, InvalidParameterError, VerificationError
 from .field import FieldElement
+from .prering import GrassPreRing
 from .weyl import DihedralGroup
 
 Chamber = tuple[int, int]
@@ -104,18 +105,20 @@ class ChamberGraph:
 
         Its shortest new cycle has length ``length + d(u, v)``, so the path
         is refused, before any mutation, exactly when d(u, v) <= lim with
-        lim = 2n-1-length.  Balls of radii ceil(lim/2) around u and
-        floor(lim/2) around v meet exactly then, and the least
-        d(u, x) + d(v, x) over their intersection is d(u, v).
+        lim = 2n-1-length.  The graph is bipartite, so d(u, v) has the
+        parity of ``length`` and never equals lim: balls of radii summing to
+        lim-1, ceil((lim-1)/2) around u and floor((lim-1)/2) around v, meet
+        exactly then, and the least d(u, x) + d(v, x) over their
+        intersection is d(u, v).  No search runs when lim < 1.
         """
         if length < 1:
             raise InvalidParameterError("path length must be positive")
         if (self.types[u] + self.types[v] + length) % 2 != 0:
             raise InvalidParameterError("path length incompatible with endpoint types")
         lim = 2 * self.n - 1 - length
-        if lim >= 0:
-            near = self._ball(u, (lim + 1) // 2)
-            far = self._ball(v, lim // 2)
+        if lim >= 1:
+            near = self._ball(u, lim // 2)
+            far = self._ball(v, (lim - 1) // 2)
             d = min((near[x] + dx for x, dx in far.items() if x in near), default=None)
             if d is not None:
                 raise VerificationError(f"path would close a {length + d}-cycle < {2 * self.n}")
@@ -314,19 +317,16 @@ def girth(g: ChamberGraph) -> float:
 
 def graph_metrics(g: ChamberGraph) -> dict:
     """Girth, diameter and valence statistics; infinities when disconnected."""
-    ecc = []
-    disconnected = False
-    for v in range(g.num_vertices):
-        dist = g.distances(v)
-        if any(d is None for d in dist):
-            disconnected = True
-        ecc.append(max(d for d in dist if d is not None))
+    if g.num_vertices and None in g.distances(0):
+        diameter = math.inf
+    else:
+        diameter = max([max(g.distances(v)) for v in range(g.num_vertices)])
     valences = [len(a) for a in g.adj]
     return {
         "vertices": g.num_vertices,
         "edges": len(g.edges()),
         "girth": girth(g),
-        "diameter": math.inf if disconnected else max(ecc),
+        "diameter": diameter,
         "valence_min": min(valences),
         "valence_max": max(valences),
         "valence_mean": sum(valences) / len(valences),
@@ -336,23 +336,15 @@ def graph_metrics(g: ChamberGraph) -> dict:
 # -- free growth operations --------------------------------------------------
 
 
-@dataclass
-class BarReport:
-    graph: ChamberGraph
-    joined_far: int
-    joined_near: int
-    skipped_far: int
-    skipped_near: int
-
-
-def bar_step(g: ChamberGraph, cap: int = 64) -> BarReport:
-    """Complete far vertex pairs by fresh arcs.
+def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
+    """Complete far vertex pairs by fresh arcs; returns the grown copy.
 
     On a snapshot of the metric, every pair at distance n+1 is joined by a
     new path of length n-1 and every pair at distance n by a path of length
     n; both keep the graph bipartite and create only cycles of length 2n.
     At most ``cap`` pairs of each kind are processed per call (a seeded
-    sample when there are more); the report counts what was left out.
+    sample when there are more).  The "bar" log entry counts the joined
+    and the skipped pairs of each kind.
     """
     g2 = g.copy()
     n = g2.n
@@ -387,7 +379,7 @@ def bar_step(g: ChamberGraph, cap: int = 64) -> BarReport:
             "skipped_near": near_skipped,
         }
     )
-    return BarReport(g2, len(far_chosen), len(near_chosen), far_skipped, near_skipped)
+    return g2
 
 
 def antipodal(g: ChamberGraph, a: Chamber, b: Chamber) -> bool:
@@ -403,7 +395,6 @@ def antipodal(g: ChamberGraph, a: Chamber, b: Chamber) -> bool:
 class PodReport:
     graph: ChamberGraph
     center: int
-    legs: list[list[int]]
 
 
 def attach_mpod(
@@ -442,11 +433,10 @@ def attach_mpod(
 
     g2 = g.copy()
     center = g2.add_vertex(center_type)
-    legs = []
     for (x1, x2), r in zip(chambers, radii):
         # endpoint of type t with t = center_type + r mod 2 keeps the path bipartite
         target = x1 if (1 + center_type + r) % 2 == 0 else x2
-        legs.append(g2.add_path(center, target, r))
+        g2.add_path(center, target, r)
     for (x1, x2), r in zip(chambers, radii):
         dist = g2.chamber_distances((x1, x2))
         if dist[center] != r:
@@ -460,7 +450,7 @@ def attach_mpod(
             "center": center,
         }
     )
-    return PodReport(g2, center, legs)
+    return PodReport(g2, center)
 
 
 @dataclass
@@ -515,6 +505,15 @@ def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> 
 # -- ball intersection census -------------------------------------------------
 
 
+def _ball_intersection(
+    g: ChamberGraph, chambers: list[Chamber], radii: list[int], l: int
+) -> list[int]:
+    """Type-l vertices within distance radii[i] of chambers[i] for every i."""
+    tables = [g.chamber_distances(c) for c in chambers]
+    return [v for v in range(g.num_vertices) if g.types[v] == l
+            and all(t[v] is not None and t[v] <= r for t, r in zip(tables, radii))]
+
+
 def ball_intersection_census(
     g: ChamberGraph,
     chambers: list[Chamber],
@@ -524,15 +523,10 @@ def ball_intersection_census(
     """Number of type-l vertices within distance radii[i] of every chamber."""
     if l not in (1, 2):
         raise InvalidParameterError("grassmannian index must be 1 or 2")
+    if len(chambers) != len(radii):
+        raise InvalidParameterError("one radius per chamber required")
     chambers = [g.check_chamber(c) for c in chambers]
-    tables = [g.chamber_distances(c) for c in chambers]
-    count = 0
-    for v in range(g.num_vertices):
-        if g.types[v] != l:
-            continue
-        if all(t[v] is not None and t[v] <= r for t, r in zip(tables, radii)):
-            count += 1
-    return count
+    return len(_ball_intersection(g, chambers, radii, l))
 
 
 @dataclass
@@ -549,23 +543,19 @@ def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> Cham
     pairs an n-path) but only to pairs among the chamber endpoints and the
     type-l vertices that are within n+1 of every chamber: exactly the pairs
     whose completion can change the census.  No cap, no sampling, so the
-    frozen census classes converge reproducibly.
+    frozen census classes converge reproducibly.  Every such pair contains
+    a chamber endpoint, so one BFS to depth n+1 from each endpoint reads
+    all their distances; the joins run in sorted pair order.
     """
     n = g.n
-    endpoints = sorted({v for c in chambers for v in c})
-    tables = [g.chamber_distances(c) for c in chambers]
-    candidates = [
-        v
-        for v in range(g.num_vertices)
-        if g.types[v] == l and all(t[v] is not None and t[v] <= n + 1 for t in tables)
-    ]
-    pool = sorted(set(endpoints) | set(candidates))
+    endpoints = {v for c in chambers for v in c}
+    pool = endpoints.union(_ball_intersection(g, chambers, [n + 1] * len(chambers), l))
     pairs = set()
-    for u in pool:
-        dist = g.distances(u, limit=n + 1)
-        for v in endpoints:
-            if v != u and dist[v] in (n, n + 1):
-                pairs.add((min(u, v), max(u, v), dist[v]))
+    for v in endpoints:
+        dist = g.distances(v, limit=n + 1)
+        for u in pool:
+            if u != v and dist[u] in (n, n + 1):
+                pairs.add((min(u, v), max(u, v), dist[u]))
     g2 = g.copy()
     for u, v, d in sorted(pairs):
         g2.add_path(u, v, n - 1 if d == n + 1 else n)
@@ -605,6 +595,24 @@ def census_rounds(
     else:
         outcome = str(counts[-1])
     return CensusReport(g2, counts, outcome)
+
+
+def census_classified(n: int, radii) -> bool:
+    """Radii in a classified regime: sum >= (n-1)(m-1), or a pair sum < n-1."""
+    m = len(radii)
+    pair_sums = [radii[i] + radii[j] for i in range(m) for j in range(i + 1, m)]
+    return sum(radii) >= (n - 1) * (m - 1) or any(p < n - 1 for p in pair_sums)
+
+
+def census_prediction(ring: GrassPreRing, radii) -> str:
+    """The census outcome the pre-ring product of the radius classes predicts."""
+    prod = ring.product_chain(sorted(radii))
+    if not prod:
+        return "0"
+    ((deg, coeff),) = prod.items()
+    if deg == 0 and coeff.finite:
+        return str(coeff.residue)
+    return "growing"
 
 
 def census_to_csv(rows: list[dict]) -> str:
@@ -693,17 +701,13 @@ class ScanResult:
     value: FieldElement
 
 
-def min_slope_scan(
-    config: WeightedConfiguration,
-    l: int,
-    within: int | None = None,
-) -> ScanResult | None:
+def min_slope_scan(config: WeightedConfiguration, l: int, within: int) -> ScanResult | None:
     """Minimal slope over type-l vertices, smallest vertex id on ties.
 
-    ``within`` skips vertices farther than that from some chamber: at a
-    finite stage, distances beyond n are not yet the limit distances (the
-    limit geometry has diameter n), so scans for semistability evidence
-    restrict to the metrically converged range.
+    Only vertices within distance ``within`` of every chamber are scanned:
+    at a finite stage, distances beyond n are not yet the limit distances
+    (the limit geometry has diameter n), so scans for semistability
+    evidence restrict to the metrically converged range.
     """
     if l not in (1, 2):
         raise InvalidParameterError("grassmannian index must be 1 or 2")
@@ -715,9 +719,7 @@ def min_slope_scan(
     for v in range(g.num_vertices):
         if g.types[v] != l:
             continue
-        if any(t[v] is None for t in tables):
-            continue
-        if within is not None and any(t[v] > within for t in tables):
+        if any(t[v] is None or t[v] > within for t in tables):
             continue
         total = descr.zero
         for t, s, w in zip(tables, sides, config.weights):
@@ -799,7 +801,7 @@ def construct_semistable(
         scans = []
         for rnd in range(rounds + 1):
             if rnd > 0:
-                g = bar_step(g).graph
+                g = bar_step(g)
                 config = WeightedConfiguration(g, chambers, weights)
             entry = {"round": rnd, "vertices": g.num_vertices}
             for l in (1, 2):

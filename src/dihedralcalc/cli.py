@@ -12,6 +12,7 @@ environment variable DIHEDRALCALC_BUDGET overrides enumeration budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -216,7 +217,7 @@ def _cmd_build(args) -> int:
     graph = tup.graph
     stages = [_finite(graph_metrics(graph))]
     for _ in range(args.stages):
-        graph = bar_step(graph, cap=args.cap).graph
+        graph = bar_step(graph, cap=args.cap)
         stages.append(_finite(graph_metrics(graph)))
     payload = {"n": args.n, "chambers": [list(c) for c in tup.chambers],
                "metrics": stages, "graph": graph.to_json()}
@@ -289,7 +290,10 @@ def _cmd_verify(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; handlers look their
+    callees up at call time, so later patches of module names still apply."""
     parser = argparse.ArgumentParser(
         prog="dihedralcalc",
         description="Exact dihedral intersection calculus: multiplication "

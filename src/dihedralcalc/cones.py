@@ -545,7 +545,6 @@ class AuditEntry:
 
 @dataclass
 class AuditReport:
-    system_meta: dict
     entries: list[AuditEntry]
 
     @property
@@ -572,7 +571,7 @@ def redundancy_audit(system: InequalitySystem) -> AuditReport:
             continue
         status = "facet" if res.optimum > zero else "redundant"
         entries.append(AuditEntry(q, status, res.optimum, res.witness))
-    return AuditReport(dict(system.meta), entries)
+    return AuditReport(entries)
 
 
 # -- cone comparison ----------------------------------------------------------

@@ -15,6 +15,8 @@ from dihedralcalc.building import (
     attach_mpod,
     ball_intersection_census,
     bar_step,
+    census_classified,
+    census_prediction,
     census_rounds,
     census_to_csv,
     construct_semistable,
@@ -24,7 +26,7 @@ from dihedralcalc.building import (
     min_slope_scan,
     slope_at,
 )
-from dihedralcalc.building import _witness_geometry
+from dihedralcalc.building import _census_saturation, _witness_geometry
 from dihedralcalc.cones import (
     DominantWeight,
     embed_small,
@@ -244,7 +246,7 @@ def test_copy_preserves_rng_state():
     g = ChamberGraph.apartment(4, seed=2)
     a = bar_step(g.copy(), cap=3)
     b = bar_step(g.copy(), cap=3)
-    assert json.dumps(a.graph.to_json()) == json.dumps(b.graph.to_json())
+    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
 
 def test_girth_tree_is_infinite():
@@ -284,14 +286,13 @@ def test_check_n1_isometric_detects_changes():
 
 def test_bar_step_apartment():
     g = ChamberGraph.apartment(4)
-    rep = bar_step(g)
+    grown = bar_step(g)
     # the 8-cycle has no distance-5 pairs and four antipodal pairs
-    assert rep.joined_far == 0
-    assert rep.joined_near == 4
-    assert rep.skipped_far == rep.skipped_near == 0
-    assert rep.graph.num_vertices == 8 + 4 * 3
-    assert girth(rep.graph) == 8
-    assert check_n1_isometric(g, rep.graph)
+    assert grown.log[-1] == {"op": "bar", "joined_far": 0, "joined_near": 4,
+                             "skipped_far": 0, "skipped_near": 0}
+    assert grown.num_vertices == 8 + 4 * 3
+    assert girth(grown) == 8
+    assert check_n1_isometric(g, grown)
 
 
 def test_bar_step_shrinks_far_pair():
@@ -300,19 +301,19 @@ def test_bar_step_shrinks_far_pair():
     pendant = g.add_vertex(2)
     g.add_edge(0, pendant)
     assert g.distance(pendant, 3) == n + 1
-    rep = bar_step(g)
-    assert rep.joined_far >= 1
-    assert rep.graph.distance(pendant, 3) == n - 1
-    assert girth(rep.graph) == 2 * n
+    grown = bar_step(g)
+    assert grown.log[-1]["joined_far"] >= 1
+    assert grown.distance(pendant, 3) == n - 1
+    assert girth(grown) == 2 * n
 
 
 def test_bar_step_cap_reports_skipped():
     g = ChamberGraph.apartment(4, seed=9)
-    rep = bar_step(g, cap=1)
-    assert rep.joined_near == 1
-    assert rep.skipped_near == 3
+    grown = bar_step(g, cap=1)
+    assert grown.log[-1]["joined_near"] == 1
+    assert grown.log[-1]["skipped_near"] == 3
     again = bar_step(ChamberGraph.apartment(4, seed=9), cap=1)
-    assert json.dumps(rep.graph.to_json()) == json.dumps(again.graph.to_json())
+    assert json.dumps(grown.to_json()) == json.dumps(again.to_json())
 
 
 # -- pods ----------------------------------------------------------------------
@@ -419,6 +420,16 @@ def test_ball_census_hand_example():
         ball_intersection_census(g, chambers, [1, 2], 0)
 
 
+def test_census_needs_one_radius_per_chamber():
+    # zip would pair the first radii with the chambers and drop the rest
+    g = ChamberGraph.apartment(4)
+    chambers = [(0, 1), (4, 5)]
+    with pytest.raises(InvalidParameterError, match="one radius per chamber"):
+        census_rounds(g, chambers, [1, 1, 1], 1)
+    with pytest.raises(InvalidParameterError, match="one radius per chamber"):
+        ball_intersection_census(g, chambers, [1], 1)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_census_complementary_pair_exactly_two(n):
     # a pair with radii summing to n-1 ends at exactly one point per type
@@ -485,6 +496,58 @@ def test_census_matches_grassmannian_product(n):
                 out = census_rounds(tup.graph, tup.chambers, list(radii), l)
                 assert out.outcome == expected, (n, m, radii, l, out.counts)
                 assert girth(out.graph) == 2 * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_classification_matches_oracle(n):
+    ring = GrassPreRing(n)
+    for m in (2, 3):
+        for radii in itertools.combinations_with_replacement(range(1, n), m):
+            pairs = [radii[i] + radii[j] for i in range(m) for j in range(i + 1, m)]
+            in_regime = sum(radii) >= (n - 1) * (m - 1)
+            assert census_classified(n, radii) == (
+                in_regime or any(p < n - 1 for p in pairs))
+            assert census_prediction(ring, radii) == _product_class(ring, radii)
+
+
+def _saturation_oracle(g, chambers, l):
+    """The saturation round with one BFS per pool vertex, as a reference."""
+    n = g.n
+    endpoints = sorted({v for c in chambers for v in c})
+    tables = [g.chamber_distances(c) for c in chambers]
+    candidates = [
+        v
+        for v in range(g.num_vertices)
+        if g.types[v] == l and all(t[v] is not None and t[v] <= n + 1 for t in tables)
+    ]
+    pool = sorted(set(endpoints) | set(candidates))
+    pairs = set()
+    for u in pool:
+        dist = g.distances(u, limit=n + 1)
+        for v in endpoints:
+            if v != u and dist[v] in (n, n + 1):
+                pairs.add((min(u, v), max(u, v), dist[v]))
+    g2 = g.copy()
+    for u, v, d in sorted(pairs):
+        g2.add_path(u, v, n - 1 if d == n + 1 else n)
+    g2.log.append({"op": "census-saturation", "joined": len(pairs)})
+    return g2
+
+
+def test_census_saturation_matches_oracle():
+    # the census suite's tuples, before and after one pod round
+    joined = 0
+    for n in (3, 4, 5):
+        for seed, m in ((2, 2), (11, 2), (11, 3)):
+            tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=seed), m)
+            podded = attach_mpod(tup.graph, tup.chambers, [n - 1] * m, 1).graph
+            for g in (tup.graph, podded):
+                for l in (1, 2):
+                    want = _saturation_oracle(g, tup.chambers, l)
+                    got = _census_saturation(g, tup.chambers, l)
+                    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                    joined += want.log[-1]["joined"]
+    assert joined > 0
 
 
 def test_census_csv_format():
@@ -562,13 +625,13 @@ def test_min_slope_scan_tiebreak_and_filter():
     cfg = WeightedConfiguration(g, [(0, 1)], [W(1, 0)])
     # type-2 vertices 1 and 5 are mirror images through the weight point
     assert slope_at(cfg, 1) == slope_at(cfg, 5)
-    res = min_slope_scan(cfg, 2)
+    res = min_slope_scan(cfg, 2, within=n)
     assert res.vertex == 1
     assert res.value == slope_at(cfg, 1)
     near = min_slope_scan(cfg, 1, within=0)
     assert near.vertex == 0
     with pytest.raises(InvalidParameterError):
-        min_slope_scan(cfg, 0)
+        min_slope_scan(cfg, 0, within=n)
 
 
 def test_slope_disconnected_domain_error():
@@ -577,7 +640,7 @@ def test_slope_disconnected_domain_error():
     cfg = WeightedConfiguration(g, [(0, 1)], [W(1, 0)])
     with pytest.raises(DomainError):
         slope_at(cfg, lonely)
-    res = min_slope_scan(cfg, 1)
+    res = min_slope_scan(cfg, 1, within=g.num_vertices)
     assert res.vertex != lonely
 
 
@@ -695,7 +758,7 @@ def test_girth_fuzz_random_sequences():
         for _ in range(2):
             op = rng.choice(("bar", "tuple", "pod"))
             if op == "bar":
-                g = bar_step(g, cap=4).graph
+                g = bar_step(g, cap=4)
             elif op == "tuple":
                 rep = find_antipodal_tuple(g, 2)
                 g, chambers = rep.graph, rep.chambers
@@ -712,5 +775,5 @@ def test_stage_maps_are_isometric():
         g2 = rep.graph
         g3 = attach_mpod(g2, rep.chambers, [n - 1, n - 1], 1).graph
         assert check_n1_isometric(g2, g3)
-        g4 = bar_step(g3, cap=16).graph
+        g4 = bar_step(g3, cap=16)
         assert check_n1_isometric(g3, g4)

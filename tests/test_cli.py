@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dihedralcalc import cli
 from dihedralcalc.building import ChamberGraph, WeightedConfiguration, \
     min_slope_scan, slope_at
 from dihedralcalc.cli import main, system_from_spec
@@ -390,3 +391,13 @@ def test_verify_dest_is_deterministic(tmp_path, capsys):
         assert "s) " in capsys.readouterr().out
     assert a.read_bytes() == b.read_bytes()
     assert "seconds" not in load(a)["payload"][0]
+
+
+def test_parser_built_once_and_handlers_see_patches(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    real = cli.graph_metrics
+    monkeypatch.setattr(cli, "graph_metrics", lambda g: seen.append(g) or real(g))
+    run(tmp_path, "build", "--n", "3", "--stages", "1", "--seed", "0",
+        "--m", "2", "--dest", str(tmp_path / "b.json"))
+    assert len(seen) == 2

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of the package, its tests and
-its scripts is used, and every function, class and method the package
-defines is named in the code of the package, its scripts or perfbench."""
+its scripts is used, every function, class and method the package defines
+is named in the code of the package, its scripts or perfbench, and every
+dataclass field the package defines is read there."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,10 @@ PACKAGE = ROOT / "src" / "dihedralcalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+# the code whose names keep a package definition alive
+USERS = sorted((ROOT / "src").rglob("*.py"))
+USERS += sorted((ROOT / "scripts").glob("*.py"))
+USERS += sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -71,10 +76,7 @@ def definitions(node, owner=""):
 
 
 def test_no_dead_definitions():
-    users = sorted((ROOT / "src").rglob("*.py"))
-    users += sorted((ROOT / "scripts").glob("*.py"))
-    users += sorted((ROOT / "perfbench").glob("*.py"))
-    named = set().union(*(named_in(p) for p in users))
+    named = set().union(*(named_in(p) for p in USERS))
     # a method is matched by name, not owner: it stays alive while any
     # definition of the same name is used
     dead = sorted(
@@ -85,3 +87,38 @@ def test_no_dead_definitions():
         if not (name.startswith("__") and name.endswith("__"))
         and name not in UNCALLED_OK and name not in named)
     assert not dead, f"defined but never named in code: {dead}"
+
+
+def dataclass_fields(tree):
+    """(class.field, field) of every field of a @dataclass below tree, except
+    classes that serialize themselves whole through asdict(self)."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass")
+                for d in cls.decorator_list):
+            continue
+        if any(isinstance(node, ast.Call) and ast.unparse(node) == "asdict(self)"
+               for node in ast.walk(cls)):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+
+
+def attributes_read(path):
+    """Attribute names that code in path loads."""
+    return {node.attr
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unread_dataclass_fields():
+    read = set().union(*(attributes_read(p) for p in USERS))
+    # a field is matched by name, not owner, like methods above
+    unread = sorted(
+        qualified
+        for path in PACKAGE.glob("*.py")
+        for qualified, name in dataclass_fields(
+            ast.parse(path.read_text(), filename=str(path)))
+        if name not in read)
+    assert not unread, f"dataclass fields never read in code: {unread}"
