@@ -505,15 +505,6 @@ def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> 
 # -- ball intersection census -------------------------------------------------
 
 
-def _ball_intersection(
-    g: ChamberGraph, chambers: list[Chamber], radii: list[int], l: int
-) -> list[int]:
-    """Type-l vertices within distance radii[i] of chambers[i] for every i."""
-    tables = [g.chamber_distances(c) for c in chambers]
-    return [v for v in range(g.num_vertices) if g.types[v] == l
-            and all(t[v] is not None and t[v] <= r for t, r in zip(tables, radii))]
-
-
 def ball_intersection_census(
     g: ChamberGraph,
     chambers: list[Chamber],
@@ -525,8 +516,9 @@ def ball_intersection_census(
         raise InvalidParameterError("grassmannian index must be 1 or 2")
     if len(chambers) != len(radii):
         raise InvalidParameterError("one radius per chamber required")
-    chambers = [g.check_chamber(c) for c in chambers]
-    return len(_ball_intersection(g, chambers, radii, l))
+    tables = [g.chamber_distances(g.check_chamber(c)) for c in chambers]
+    return sum(1 for v in range(g.num_vertices) if g.types[v] == l
+               and all(t[v] is not None and t[v] <= r for t, r in zip(tables, radii)))
 
 
 @dataclass
@@ -545,14 +537,18 @@ def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> Cham
     whose completion can change the census.  No cap, no sampling, so the
     frozen census classes converge reproducibly.  Every such pair contains
     a chamber endpoint, so one BFS to depth n+1 from each endpoint reads
-    all their distances; the joins run in sorted pair order.
+    all their distances, and also the pool: a vertex is within n+1 of a
+    chamber when it is within n+1 of one of its endpoints.  The joins run
+    in sorted pair order.
     """
     n = g.n
     endpoints = {v for c in chambers for v in c}
-    pool = endpoints.union(_ball_intersection(g, chambers, [n + 1] * len(chambers), l))
+    near = {v: g.distances(v, limit=n + 1) for v in endpoints}
+    pool = endpoints.union(
+        x for x in range(g.num_vertices) if g.types[x] == l
+        and all(near[u][x] is not None or near[v][x] is not None for u, v in chambers))
     pairs = set()
-    for v in endpoints:
-        dist = g.distances(v, limit=n + 1)
+    for v, dist in near.items():
         for u in pool:
             if u != v and dist[u] in (n, n + 1):
                 pairs.add((min(u, v), max(u, v), dist[u]))

@@ -93,6 +93,8 @@ def _read_json(path: str) -> tuple[dict, str]:
         doc = json.loads(data)
     except RecursionError:
         raise InvalidParameterError(f"{path}: JSON nested too deeply")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text: {exc.reason}")
     return doc, hashlib.sha256(data).hexdigest()
 
 

@@ -65,20 +65,6 @@ def pairing_columns(n: int) -> tuple[tuple, tuple]:
     return col_a, col_b
 
 
-@lru_cache(maxsize=None)
-def chebyshev_ratio(n: int, j: int):
-    """sin(j*pi/n) / sin(pi/n) as an element of the small field."""
-    if j < 0:
-        return -chebyshev_ratio(n, -j)
-    k = small_field(n)
-    if j == 0:
-        return k.zero
-    if j == 1:
-        return k.one
-    theta = k.two_cos(1)
-    return theta * chebyshev_ratio(n, j - 1) - chebyshev_ratio(n, j - 2)
-
-
 def vertex_cartesian(descr: FieldDescriptor, k: int):
     """Unit vector of vertex k in the ambient cyclotomic field."""
     n = descr.n
@@ -424,11 +410,12 @@ def _weight_pairs(n: int, weights: Sequence[DominantWeight]):
 
 
 def _eval_row(row: tuple, pairs: list) -> FieldElement:
+    """Pair a row with (a, b) coordinates; zero coordinates cost no product."""
     total = None
-    for s, (a, b) in enumerate(pairs):
-        term = a * row[2 * s] + b * row[2 * s + 1]
-        total = term if total is None else total + term
-    return total
+    for c, v in zip(row, itertools.chain.from_iterable(pairs)):
+        if v:
+            total = c * v if total is None else total + c * v
+    return row[0].descr.zero if total is None else total
 
 
 def row_values(system: InequalitySystem,
@@ -474,7 +461,6 @@ class ConeLPResult:
     status: str  # "optimal" | "infeasible"
     optimum: FieldElement | None = None
     witness: list | None = None  # (a, b) small-field pair per slot
-    iterations: int = 0
 
 
 def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
@@ -483,8 +469,10 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     The cone lives in dominant coordinates (all 2*slots variables >= 0) and
     the coordinate sum is pinned to 1, which bounds the cone section, so the
     answer is "optimal" or "infeasible".  Solved through the dual so the
-    tableau height stays at 2*slots; the returned vertex is re-checked
-    exactly against every constraint.
+    tableau height stays at 2*slots.  The returned vertex is re-checked
+    exactly here, apart from the solver: it lies on the section, satisfies
+    every row and attains the optimum.  That vertex alone certifies a facet
+    in the audit and a separation in a cone comparison.
     """
     fld = small_field(system.n)
     zero, one = fld.zero, fld.one
@@ -501,36 +489,20 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     if res.status != "optimal":
         # the section is bounded, so by duality an unbounded or infeasible
         # dual means an empty section
-        return ConeLPResult("infeasible", iterations=res.iterations)
+        return ConeLPResult("infeasible")
 
     optimum = -res.optimum
     z = res.dual
     witness = [(z[2 * s], z[2 * s + 1]) for s in range(system.slots)]
-    _verify_vertex(system, obj, optimum, z, zero, one)
-    return ConeLPResult("optimal", optimum, witness, res.iterations)
-
-
-def _verify_vertex(system, obj, optimum, z, zero, one) -> None:
     if any(v < zero for v in z):
         raise VerificationError("vertex has a negative coordinate")
-    total = zero
-    for v in z:
-        total = total + v
-    if total != one:
+    if sum(z, zero) != one:
         raise VerificationError("vertex normalization is off")
-    for row in system.rows():
-        val = zero
-        for c, v in zip(row, z):
-            if v:
-                val = val + c * v
-        if val > zero:
-            raise VerificationError("vertex violates a cone constraint")
-    val = zero
-    for c, v in zip(obj, z):
-        if v:
-            val = val + c * v
-    if val != optimum:
+    if not evaluate_point(system, witness).member:
+        raise VerificationError("vertex violates a cone constraint")
+    if _eval_row(obj, witness) != optimum:
         raise VerificationError("vertex does not attain the LP optimum")
+    return ConeLPResult("optimal", optimum, witness)
 
 
 # -- redundancy audit ---------------------------------------------------------
@@ -539,7 +511,6 @@ def _verify_vertex(system, obj, optimum, z, zero, one) -> None:
 class AuditEntry:
     inequality: LinearInequality
     status: str  # "facet" | "redundant"
-    optimum: FieldElement | None
     witness: list | None
 
 
@@ -567,10 +538,10 @@ def redundancy_audit(system: InequalitySystem) -> AuditReport:
             system.meta, system._rows)
         res = lp_optimize(rest, system.row(q.key))
         if res.status != "optimal":
-            entries.append(AuditEntry(q, "redundant", None, None))
+            entries.append(AuditEntry(q, "redundant", None))
             continue
         status = "facet" if res.optimum > zero else "redundant"
-        entries.append(AuditEntry(q, status, res.optimum, res.witness))
+        entries.append(AuditEntry(q, status, res.witness))
     return AuditReport(entries)
 
 
@@ -581,7 +552,6 @@ class ImplicationEntry:
     inequality: LinearInequality
     status: str  # "implied" | "separates"
     method: str  # "duplicate" | "dominated" | "lp" | "orbit"
-    optimum: FieldElement | None = None
     witness: list | None = None
     via: tuple | None = None
 
@@ -649,7 +619,6 @@ def _direction(
         reps[rep] = (status, method)
         entry = ImplicationEntry(q, status, method, via=rep if rep != q.key else None)
         if res is not None:
-            entry.optimum = res.optimum
             entry.witness = res.witness
         entries.append(entry)
         if status == "separates":
@@ -676,66 +645,6 @@ def cone_equal(sys_a: InequalitySystem,
     if bad is not None:
         return ConeEqualityCertificate(False, forward, backward, bad)
     return ConeEqualityCertificate(True, forward, backward)
-
-
-# -- constructive facet witnesses ----------------------------------------------
-
-@dataclass
-class FacetWitness:
-    inequality: LinearInequality
-    weights: list  # (a, b) small-field pair per slot
-    scale: int
-
-
-def facet_witness(system: InequalitySystem, ineq: LinearInequality,
-                  max_doublings: int = 40) -> FacetWitness:
-    """Point of the solution cone where exactly this inequality is tight.
-
-    Construction: all slots get the regular weight (1,1); the partner slot
-    j is pushed deep into the chamber at (R,R); slot i is placed on the
-    boundary side whose outer normal is the tagged vertex, using the 2n-gon
-    hull of the remaining orbit sum.  Validated exactly; R doubles until
-    every other inequality is strict.
-    """
-    if ineq.tag.slots is None:
-        raise InvalidParameterError("witness needs a tagged slot pair")
-    n, m = system.n, system.slots
-    if m < 3:
-        raise InvalidParameterError("need at least three slots")
-    fld = small_field(n)
-    zero, one = fld.zero, fld.one
-    i, j = ineq.tag.slots
-    k = ineq.key[i]
-    # c' = (m-2) * (1 + cos(pi/n)): half the squared norm scaling of the
-    # regular orbit hull side with outer normal v_k
-    cprime = (one + fld.two_cos(1) * Fraction(1, 2)) * (m - 2)
-    da = cprime * chebyshev_ratio(n, 1 - k)
-    db = cprime * chebyshev_ratio(n, k)
-
-    scale = 4 * n * m
-    for _ in range(max_doublings):
-        r = fld.from_rational(scale)
-        pairs = [(one, one) for _ in range(m)]
-        pairs[j] = (r, r)
-        pairs[i] = (r + da, r + db)
-        if pairs[i][0] < zero or pairs[i][1] < zero:
-            scale *= 2
-            continue
-        ok = True
-        for q in system.inequalities:
-            val = _eval_row(system.row(q.key), pairs)
-            if q.key == ineq.key:
-                if val != zero:
-                    ok = False
-                    break
-            elif not val < zero:
-                ok = False
-                break
-        if ok:
-            return FacetWitness(ineq, pairs, scale)
-        scale *= 2
-    raise VerificationError(
-        f"no tight point found for {ineq.tag.to_json()} after doubling")
 
 
 # -- exports ------------------------------------------------------------------

@@ -160,6 +160,9 @@ def test_equal_unequal_cones_exit_1(tmp_path):
     payload = load(dest)["payload"]
     assert payload["equal"] is False
     assert "counterexample" in payload
+    # pins the separating LP vertex exported as the counterexample witness
+    assert digest(payload) == \
+        "a5d5ea8dee9e54691b11171dd58ca1e60ccece7df00c9178137a34c18106a496"
 
 
 # -- mult-table -----------------------------------------------------------------------------
@@ -320,20 +323,41 @@ def test_slope_negative_within_exits_2(tmp_path, capsys):
     assert main(argv + ["0"]) == 0
 
 
-@pytest.mark.parametrize("command", ["member", "slope"])
+def _bad_json_argv(tmp_path, command, bad):
+    """argv that feeds the file bad to member --point, slope --graph
+    ("slope") or slope --config, with a valid file in every other slot."""
+    if command == "member":
+        return ["member", "--system", "wti", "--n", "3", "--m", "3",
+                "--point", str(bad)]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(ChamberGraph.apartment(3).to_json()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chambers": [[0, 1]],
+                               "weights": [["1", "0"]]}))
+    if command == "slope":
+        graph = bad
+    else:
+        cfg = bad
+    return ["slope", "--graph", str(graph), "--config", str(cfg)]
+
+
+BAD_JSON_COMMANDS = ["member", "slope", "slope-config"]
+
+
+@pytest.mark.parametrize("command", BAD_JSON_COMMANDS)
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    if command == "member":
-        argv = ["member", "--system", "wti", "--n", "3", "--m", "3",
-                "--point", str(deep)]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"chambers": [[0, 1]],
-                                   "weights": [["1", "0"]]}))
-        argv = ["slope", "--graph", str(deep), "--config", str(cfg)]
-    assert main(argv) == 2
+    assert main(_bad_json_argv(tmp_path, command, deep)) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", BAD_JSON_COMMANDS)
+def test_undecodable_json_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(_bad_json_argv(tmp_path, command, bad)) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--stages", "--cap"])

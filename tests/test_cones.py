@@ -1,5 +1,7 @@
 """Inequality system tests: pairings, generators, membership, LP certificates."""
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -13,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 from dihedralcalc import cones, lp
 from dihedralcalc.cones import (
     AuditReport, DominantWeight, InequalitySystem, LinearInequality,
-    a1_product_system, antipode, audit_to_json, chebyshev_ratio, cone_equal,
-    embed_small, equality_to_json, evaluate_point, facet_witness, gen_km,
+    a1_product_system, antipode, audit_to_json, cone_equal,
+    embed_small, equality_to_json, evaluate_point, gen_km,
     gen_sti, gen_wti, is_member, lp_optimize, pairing_columns,
     redundancy_audit, row_values, small_field, system_to_json,
     system_to_latex, theta_system, vertex_cartesian, w0_index, witness_to_json,
 )
 from dihedralcalc.errors import (BudgetExceededError, DomainError,
-                                 InvalidParameterError)
+                                 InvalidParameterError, VerificationError)
 from dihedralcalc.field import field_init
 from dihedralcalc.lp import lp_solve
 from dihedralcalc.weyl import DihedralGroup
@@ -36,6 +38,20 @@ def approx(e) -> float:
 def star(w, n):
     """The contragredient weight -w0(w): the two rays swap when n is odd."""
     return w if n % 2 == 0 else DominantWeight(w.b, w.a)
+
+
+@functools.lru_cache(maxsize=None)
+def chebyshev_ratio(n, j):
+    """sin(j*pi/n) / sin(pi/n) as an element of the small field."""
+    if j < 0:
+        return -chebyshev_ratio(n, -j)
+    k = small_field(n)
+    if j == 0:
+        return k.zero
+    if j == 1:
+        return k.one
+    theta = k.two_cos(1)
+    return theta * chebyshev_ratio(n, j - 1) - chebyshev_ratio(n, j - 2)
 
 
 def vertex_ray(n, k):
@@ -345,6 +361,36 @@ def test_cone_lps_certify_the_float_basis(monkeypatch):
     assert cone_equal(gen_wti(5, 4), gen_sti(5, 4)).equal
 
 
+@pytest.mark.parametrize("corruption,message", [
+    ("negative", "negative coordinate"),
+    ("normalization", "normalization"),
+    ("violated", "violates a cone constraint"),
+    ("optimum", "does not attain")])
+def test_lp_optimize_rejects_corrupted_vertex(monkeypatch, corruption,
+                                              message):
+    # the vertex check in lp_optimize catches a wrong answer on its own,
+    # whatever the solver's certificate said
+    sys = gen_wti(3, 3)
+    one, zero = small_field(3).one, small_field(3).zero
+
+    def corrupt(*args, **kwargs):
+        res = lp_solve(*args, **kwargs)
+        z = list(res.dual)
+        if corruption == "negative":  # mass moved, sum still 1
+            z[0], z[1] = z[0] - 2, z[1] + 2
+        elif corruption == "normalization":  # still in the cone
+            z = [v + v for v in z]
+        elif corruption == "violated":  # one nonzero weight breaks a triangle
+            z = [one] + [zero] * (len(z) - 1)
+        else:
+            return dataclasses.replace(res, optimum=res.optimum + one)
+        return dataclasses.replace(res, dual=z)
+
+    monkeypatch.setattr(cones, "lp_solve", corrupt)
+    with pytest.raises(VerificationError, match=message):
+        lp_optimize(sys, sys.row(sys.inequalities[0].key))
+
+
 def test_lp_optimize_rejects_bad_objective():
     sys = gen_wti(3, 3)
     with pytest.raises(InvalidParameterError):
@@ -485,37 +531,6 @@ def test_coherence_by_sampling():
         assert direct == split
         hits += direct
     assert 0 < hits < 40  # the sample straddles the boundary
-
-
-# -- facet witnesses --------------------------------------------------------------
-
-@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (5, 4)])
-def test_facet_witness_tight_exactly_once(n, m):
-    sys = gen_wti(n, m)
-    zero = small_field(n).zero
-    for q in sys.inequalities:
-        fw = facet_witness(sys, q)
-        vals = [( _q.key, _eval(sys, _q, fw.weights)) for _q in sys.inequalities]
-        for key, v in vals:
-            if key == q.key:
-                assert not v
-            else:
-                assert v < zero
-
-
-def _eval(sys, q, pairs):
-    row = sys.row(q.key)
-    total = None
-    for s, (a, b) in enumerate(pairs):
-        term = a * row[2 * s] + b * row[2 * s + 1]
-        total = term if total is None else total + term
-    return total
-
-
-def test_facet_witness_needs_three_slots():
-    sys = gen_wti(3, 2)
-    with pytest.raises(InvalidParameterError):
-        facet_witness(sys, sys.inequalities[0])
 
 
 # -- exports ----------------------------------------------------------------------

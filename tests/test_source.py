@@ -41,12 +41,6 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-# names the dead-code scan accepts without a caller in src/, scripts/ or
-# perfbench/: only tests reach facet_witness until ROADMAP item 1 calls it
-# from redundancy_audit
-UNCALLED_OK = {"facet_witness"}
-
-
 def named_in(path):
     """Names code can reach a definition by: identifiers, attribute names,
     imported names and exact string constants (perfbench patches functions
@@ -85,7 +79,7 @@ def test_no_dead_definitions():
         for qualified, name in definitions(
             ast.parse(path.read_text(), filename=str(path)))
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in UNCALLED_OK and name not in named)
+        and name not in named)
     assert not dead, f"defined but never named in code: {dead}"
 
 
