@@ -533,6 +533,51 @@ def test_coherence_by_sampling():
     assert 0 < hits < 40  # the sample straddles the boundary
 
 
+# -- facet witnesses --------------------------------------------------------------
+
+def _audit_witnesses(n, m):
+    """Each audit entry with every row's value at the regular point (1, 1)
+    per slot and at the entry's LP vertex, keyed by row."""
+    sys = gen_wti(n, m)
+    one = small_field(n).one
+    regular = [(one, one)] * m
+
+    def values(pairs):
+        return {q.key: cones._eval_row(sys.row(q.key), pairs)
+                for q in sys.inequalities}
+
+    for entry in redundancy_audit(sys).entries:
+        yield entry, values(regular), values(entry.witness)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (5, 4)])
+def test_facet_witness_tight_exactly_once(n, m):
+    # the audit's LP vertex z certifies row q as a facet: q(z) > 0 and every
+    # other row holds at z, so on the segment from the regular point p (all
+    # rows strict) to z the point where q vanishes is tight on q alone
+    zero = small_field(n).zero
+    for entry, at_p, at_z in _audit_witnesses(n, m):
+        assert entry.status == "facet"
+        key = entry.inequality.key
+        qp, qz = at_p[key], at_z[key]
+        assert qp < zero < qz
+        for other, v in at_p.items():
+            tight = v * qz - at_z[other] * qp  # (qz - qp) * row(x_q)
+            if other == key:
+                assert not tight
+            else:
+                assert tight < zero
+
+
+def test_facet_witness_needs_three_slots():
+    # with two slots the cone is flat (the regular point is on its boundary)
+    # and no row has a point where it alone is tight: the audit finds none
+    zero = small_field(3).zero
+    for entry, at_p, _ in _audit_witnesses(3, 2):
+        assert entry.status == "redundant"
+    assert any(v == zero for v in at_p.values())
+
+
 # -- exports ----------------------------------------------------------------------
 
 def test_embed_small_is_a_field_hom():
