@@ -5,8 +5,11 @@ in canonical form; LaTeX output carries the manifest as a leading comment.
 Reruns with identical inputs produce identical bytes.
 
 Exit codes: 0 success, 1 verification failure (first counterexample
-reported), 2 usage or malformed input, 3 search budget exhausted.  The
-environment variable DIHEDRALCALC_BUDGET overrides enumeration budgets.
+reported), 2 usage or malformed input, 3 budget exhausted.  The STI and
+KM enumerations refuse m*n > 64 (m counts the enumerated factors) and
+build refuses n*(stages+1) > 32, each before any work starts; build's
+antipodal tuple stops after 2m+4 growth steps.  The environment variable
+DIHEDRALCALC_BUDGET replaces each of these limits.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .filtration import ConcaveWeighting, gr_table_json, limit_table_json, \
 from .manifest import canonical_bytes, make_manifest, wrap
 
 BUDGET_ENV = "DIHEDRALCALC_BUDGET"
+# build refuses n*(stages+1) above this: each stage costs more than the
+# last, and n = 5 with 5 stages (30) grows in about 4 s
+BUILD_BUDGET = 32
 
 SYSTEM_CHOICES = ("wti", "sti", "km", "bk", "a1")
 
@@ -63,7 +69,8 @@ def system_from_spec(spec: str, n: int, m: int):
     elif name == "km" or name == "bk":
         if m < 2:
             raise InvalidParameterError(f"{name} systems need m >= 2")
-        built = gen_km(n, m - 1, "at" if name == "km" else "gr-b")
+        built = gen_km(n, m - 1, "at" if name == "km" else "gr-b",
+                       budget=_budget(64))
     elif name == "a1":
         if n != 2:
             raise InvalidParameterError("the a1 product oracle fixes n = 2")
@@ -214,6 +221,11 @@ def _cmd_build(args) -> int:
     for name in ("stages", "cap"):
         if getattr(args, name) < 0:
             raise InvalidParameterError(f"--{name} must be nonnegative")
+    budget = _budget(BUILD_BUDGET)
+    size = args.n * (args.stages + 1)
+    if size > budget:
+        raise BudgetExceededError(
+            f"n*(stages+1) = {size} exceeds budget {budget}")
     graph = ChamberGraph.apartment(args.n, seed=args.seed)
     tup = find_antipodal_tuple(graph, args.m, budget=_budget(None))
     graph = tup.graph

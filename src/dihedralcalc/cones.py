@@ -13,7 +13,20 @@ vertex vectors, so two inequalities are positive multiples of each other
 exactly when their keys agree; deduplication is therefore key equality.
 
 Pairings are evaluated in the small real cyclotomic field containing
-cos(pi/n); exports embed witnesses into the ambient coefficient field.
+cos(pi/n), each row at a point as one ``field.dot``; exports embed
+witnesses into the ambient coefficient field.
+
+Every LP of a system runs over the same matrix, so a system builds it once:
+``dual_matrix`` caches the negated, transposed rows that ``lp_optimize``
+solves over, exactly and as floats for the float simplex pass, and the
+facet audit drops one column of that cache per row instead of building a
+matrix for each sub-system.  Rows are cached with their float images too.
+In a cone comparison those images screen entrywise domination: a float
+entry above its partner by more than ``TOL`` rejects the pair, and every
+pair the floats let through is confirmed exactly.  A float rejection can
+only send a row on to the exact LP, so "dominated" is never a float
+verdict; the entries are half-cosines in [-1, 1], whose float error is far
+below ``TOL``, so in practice no verdict changes its method either.
 """
 
 from __future__ import annotations
@@ -26,10 +39,12 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraContext, Element, _label
-from .errors import (DomainError, InvalidParameterError, VerificationError)
-from .field import FieldDescriptor, FieldElement, field_init, real_cyclotomic
+from .errors import (BudgetExceededError, DomainError, InvalidParameterError,
+                     VerificationError)
+from .field import (FieldDescriptor, FieldElement, dot, field_init,
+                    real_cyclotomic)
 from .filtration import ConcaveWeighting, gr_product
-from .lp import lp_solve
+from .lp import TOL, lp_solve
 from .prering import enumerate_sigma
 from .weyl import IDENTITY, DihedralGroup, WeylElement
 
@@ -142,24 +157,57 @@ class InequalitySystem:
     slots: int
     inequalities: list[LinearInequality]
     meta: dict = dc_field(default_factory=dict)
+    # key -> (row, float image of the row); shared with audit sub-systems
     _rows: dict = dc_field(default_factory=dict, repr=False, compare=False)
     # key -> _implied_over verdict with this system as the target
     _verdicts: dict = dc_field(default_factory=dict, repr=False,
                                compare=False)
+    # (exact, float) dual LP matrix of lp_optimize; never shared, since it
+    # depends on the inequality list
+    _dual: tuple | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def key_set(self) -> frozenset:
         return frozenset(q.key for q in self.inequalities)
 
-    def row(self, key: tuple[int, ...]) -> tuple:
+    def images(self, key: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """(row, float image of the row) of a key, built once."""
         cached = self._rows.get(key)
         if cached is None:
-            cached = inequality_row(self.n, key)
-            self._rows[key] = cached
+            row = inequality_row(self.n, key)
+            cached = self._rows[key] = row, tuple(map(float, row))
         return cached
+
+    def row(self, key: tuple[int, ...]) -> tuple:
+        return self.images(key)[0]
 
     def rows(self) -> list[tuple]:
         return [self.row(q.key) for q in self.inequalities]
+
+    def dual_matrix(self) -> tuple[list[list], list[list[float]]]:
+        """lp_optimize's constraint matrix, exact and as floats, built once.
+
+        Row c is minus column c of the system's rows followed by (-1, 1),
+        the two columns of the free variable t = t+ - t- of the section.
+        """
+        if self._dual is None:
+            one = small_field(self.n).one
+            rows = self.rows()
+            exact = [[-row[c] for row in rows] + [-one, one]
+                     for c in range(2 * self.slots)]
+            self._dual = exact, [[float(v) for v in col] for col in exact]
+        return self._dual
+
+    def without(self, idx: int) -> InequalitySystem:
+        """The system minus its idx-th inequality.  It shares the row cache,
+        and its dual matrix is this one's with column idx dropped."""
+        exact, floats = self.dual_matrix()
+        return InequalitySystem(
+            self.n, self.slots,
+            self.inequalities[:idx] + self.inequalities[idx + 1:],
+            self.meta, self._rows,
+            _dual=([col[:idx] + col[idx + 1:] for col in exact],
+                   [col[:idx] + col[idx + 1:] for col in floats]))
 
 
 def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
@@ -267,7 +315,8 @@ def _chain_products(elems: list[Element], mul, sigma, m: int) -> dict:
 _KM_KINDS = ("at", "gr-at", "b1", "b2", "b", "gr-b1", "gr-b2", "gr-b")
 
 
-def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
+def gen_km(n: int, m: int, kind: str = "at",
+           budget: int = 64) -> InequalitySystem:
     """Inequality system carried by nonzero m-fold structure constants.
 
     For a tuple (x_1..x_m; y) with nonzero constant, the scalar inequality
@@ -281,16 +330,19 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
     pair only against the vertex type their Grassmannian carries and are
     tagged "BK"; everything else pairs against both types and is tagged
     "KM".  Dominance of each slot is an ambient assumption, not an
-    inequality row.
+    inequality row.  As in enumerate_sigma, m*n > budget raises
+    BudgetExceededError before the m-multisets are enumerated.
     """
     if kind not in _KM_KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}")
     if m < 1:
         raise InvalidParameterError("need at least one factor")
+    if m * n > budget:
+        raise BudgetExceededError(f"m*n = {m * n} exceeds budget {budget}")
     if kind == "b":
-        return _merge_km(n, m, ("b1", "b2"), "KM:b")
+        return _merge_km(n, m, ("b1", "b2"), "KM:b", budget)
     if kind == "gr-b":
-        return _merge_km(n, m, ("gr-b1", "gr-b2"), "BK:gr-b")
+        return _merge_km(n, m, ("gr-b1", "gr-b2"), "BK:gr-b", budget)
 
     descr = field_init(n)
     ctx = AlgebraContext(descr)
@@ -344,8 +396,9 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
     })
 
 
-def _merge_km(n: int, m: int, kinds: tuple[str, ...], label: str) -> InequalitySystem:
-    parts = [gen_km(n, m, k) for k in kinds]
+def _merge_km(n: int, m: int, kinds: tuple[str, ...], label: str,
+              budget: int) -> InequalitySystem:
+    parts = [gen_km(n, m, k, budget) for k in kinds]
     tagged = []
     for part in parts:
         tagged.extend((q.key, q.tag) for q in part.inequalities)
@@ -411,11 +464,7 @@ def _weight_pairs(n: int, weights: Sequence[DominantWeight]):
 
 def _eval_row(row: tuple, pairs: list) -> FieldElement:
     """Pair a row with (a, b) coordinates; zero coordinates cost no product."""
-    total = None
-    for c, v in zip(row, itertools.chain.from_iterable(pairs)):
-        if v:
-            total = c * v if total is None else total + c * v
-    return row[0].descr.zero if total is None else total
+    return dot(row, itertools.chain.from_iterable(pairs), row[0].descr.zero)
 
 
 def row_values(system: InequalitySystem,
@@ -477,15 +526,11 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     fld = small_field(system.n)
     zero, one = fld.zero, fld.one
     obj = [c + zero for c in row]
-    rows = system.rows()
-    d = 2 * system.slots
-    r = len(rows)
-
-    g = [[-rows[i][c] for i in range(r)] + [-one, one] for c in range(d)]
+    g, g_float = system.dual_matrix()
     rhs = [-c for c in obj]
-    cost = [zero] * r + [-one, one]
+    cost = [zero] * len(system.inequalities) + [-one, one]
 
-    res = lp_solve(g, rhs, cost, zero=zero)
+    res = lp_solve(g, rhs, cost, zero=zero, float_rows=g_float)
     if res.status != "optimal":
         # the section is bounded, so by duality an unbounded or infeasible
         # dual means an empty section
@@ -532,11 +577,7 @@ def redundancy_audit(system: InequalitySystem) -> AuditReport:
     zero = small_field(system.n).zero
     entries = []
     for idx, q in enumerate(system.inequalities):
-        rest = InequalitySystem(
-            system.n, system.slots,
-            system.inequalities[:idx] + system.inequalities[idx + 1:],
-            system.meta, system._rows)
-        res = lp_optimize(rest, system.row(q.key))
+        res = lp_optimize(system.without(idx), system.row(q.key))
         if res.status != "optimal":
             entries.append(AuditEntry(q, "redundant", None))
             continue
@@ -574,8 +615,17 @@ def _canon_key(key: tuple, sym: tuple) -> tuple:
     return tuple(out)
 
 
-def _dominated_by(row, other) -> bool:
-    return all(a <= b for a, b in zip(row, other))
+def _dominated_by(images: tuple[tuple, tuple],
+                  other: tuple[tuple, tuple]) -> bool:
+    """Is the row entrywise <= the other?  Both come as (row, float image).
+
+    The floats only reject: an entry with float(a) > float(b) + TOL sends
+    the row on to the next candidate or to the LP, never to a verdict.
+    Every pair the floats let through is compared exactly.
+    """
+    if any(a > b + TOL for a, b in zip(images[1], other[1])):
+        return False
+    return all(a <= b for a, b in zip(images[0], other[0]))
 
 
 def _implied_over(target: InequalitySystem,
@@ -589,12 +639,13 @@ def _implied_over(target: InequalitySystem,
         result = ("implied", "duplicate", None)
     else:
         row = inequality_row(target.n, key)
+        images = row, tuple(map(float, row))
         for q in target.inequalities:
-            if _dominated_by(row, target.row(q.key)):
+            if _dominated_by(images, target.images(q.key)):
                 result = ("implied", "dominated", None)
                 break
     if result is None:
-        res = lp_optimize(target, inequality_row(target.n, key))
+        res = lp_optimize(target, row)
         if res.status == "optimal" and res.optimum > zero:
             result = ("separates", "lp", res)
         else:

@@ -579,6 +579,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             raise TypeError("cannot compare")
+        if not any(o.num):
+            return self.sign()
         return (self - o).sign()
 
     def __lt__(self, other):
@@ -611,6 +613,70 @@ def element_from_json(descr: FieldDescriptor, doc: Sequence[str]) -> FieldElemen
 def sign_of(e: FieldElement) -> int:
     """Exact sign (-1, 0, +1) of a field element under its real embedding."""
     return e.sign()
+
+
+def dot(xs: Iterable, ys: Iterable, zero: FieldElement) -> FieldElement:
+    """sum(x * y for x, y in zip(xs, ys)) in zero's field, reduced once.
+
+    Terms with a zero factor are skipped; int and Fraction factors are
+    coerced.  Each product's integer convolution is scaled to one common
+    denominator and summed unreduced, and only the sum is reduced modulo
+    the minimal polynomial and normalized, where the object path does both
+    for every product and every partial sum (lazy reduction, as in Aranha,
+    Karabina, Longa, Gebotys & Lopez, "Faster explicit formulas for
+    computing pairings over ordinary curves", EUROCRYPT 2011).  Elements
+    have one representation, so the result equals the object path's.
+    """
+    descr = zero.descr
+    nums, dens = [], []
+    for x, y in zip(xs, ys):
+        if x.__class__ is not FieldElement:
+            x = _coerced(zero, x)
+        if y.__class__ is not FieldElement:
+            y = _coerced(zero, y)
+        if x.descr is not descr or y.descr is not descr:
+            raise InvalidParameterError("mixed field descriptors")
+        a, b = x.num, y.num
+        if any(a) and any(b):
+            nums.append((a, b))
+            dens.append(x.den * y.den)
+    if not dens:
+        return zero
+    den = lcm(*dens)
+    d = descr.degree
+    if d == 1:
+        return _element(descr, (sum([den // q * a[0] * b[0] for (a, b), q
+                                     in zip(nums, dens)]),), den)
+    if d == 2:  # the common case of the cone layer, unrolled
+        c0 = c1 = c2 = 0
+        for ((a0, a1), (b0, b1)), q in zip(nums, dens):
+            s = den // q
+            c0 += s * a0 * b0
+            c1 += s * (a0 * b1 + a1 * b0)
+            c2 += s * a1 * b1
+        r0, r1 = descr._pow_rows[0]
+        return _element(descr, (c0 + c2 * r0, c1 + c2 * r1), den)
+    acc = [0] * (2 * d - 1)
+    for (a, b), q in zip(nums, dens):
+        s = den // q
+        for i, ai in enumerate(a):
+            if ai:
+                ai *= s
+                for j, bj in enumerate(b, i):
+                    acc[j] += ai * bj
+    out = acc[:d]
+    for ce, row in zip(acc[d:], descr._pow_rows):
+        if ce:
+            for i, ri in enumerate(row):
+                out[i] += ce * ri
+    return _element(descr, tuple(out), den)
+
+
+def _coerced(zero: FieldElement, value) -> FieldElement:
+    out = zero._coerce(value)
+    if out is None:
+        raise TypeError(f"cannot multiply a field element by {value!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedralcalc import cli
+from dihedralcalc import cli, cones
 from dihedralcalc.building import ChamberGraph, WeightedConfiguration, \
     min_slope_scan, slope_at
 from dihedralcalc.cli import main, system_from_spec
@@ -395,6 +395,55 @@ def test_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "twelve")
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
                  "--dest", str(dest)]) == 2
+    capsys.readouterr()
+
+
+def _refuse_work(monkeypatch):
+    """Make every place an oversized request could start work fail loudly."""
+    def started(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+    for owner, name in ((cones, "field_init"), (cones, "AlgebraContext"),
+                        (cones, "_chain_products"), (cli, "ChamberGraph"),
+                        (cli, "find_antipodal_tuple"), (cli, "bar_step"),
+                        (cli, "graph_metrics")):
+        monkeypatch.setattr(owner, name, started)
+
+
+@pytest.mark.parametrize("argv", [
+    # KM systems enumerate m = slots - 1 factors: 4 * 17 = 68 > 64
+    ["cone", "--system", "km", "--n", "17", "--m", "5"],
+    ["cone", "--system", "theta:bk", "--n", "33", "--m", "3"],
+    ["audit", "--system", "km", "--n", "22", "--m", "4"],
+    ["equal", "--a", "theta:km", "--b", "wti", "--n", "17", "--m", "5"],
+    # build: n * (stages + 1) > 32
+    ["build", "--n", "5", "--stages", "6", "--seed", "1"],
+    ["build", "--n", "3", "--stages", str(10 ** 9), "--seed", "1"],
+    ["build", "--n", "33", "--stages", "0", "--seed", "1"],
+])
+def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
+                                                   tmp_path, argv):
+    _refuse_work(monkeypatch)
+    monkeypatch.delenv("DIHEDRALCALC_BUDGET", raising=False)
+    dest = tmp_path / "out.json"
+    assert main(argv + ["--dest", str(dest)]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_budget_env_sets_the_build_and_km_limits(monkeypatch, capsys,
+                                                 tmp_path):
+    dest = tmp_path / "out.json"
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "11")
+    run(tmp_path, "build", "--n", "3", "--stages", "3", "--seed", "1",
+        "--dest", str(dest), expect=3)  # 12 > 11
+    run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
+        "--dest", str(dest), expect=3)  # 4 * 3 = 12 > 11
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "12")
+    run(tmp_path, "build", "--n", "3", "--stages", "3", "--seed", "1",
+        "--dest", str(dest))
+    assert len(load(dest)["payload"]["metrics"]) == 4
+    run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
+        "--dest", str(dest))
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ from dihedralcalc.cones import (
     AuditReport, DominantWeight, InequalitySystem, LinearInequality,
     a1_product_system, antipode, audit_to_json, cone_equal,
     embed_small, equality_to_json, evaluate_point, gen_km,
-    gen_sti, gen_wti, is_member, lp_optimize, pairing_columns,
+    gen_sti, gen_wti, inequality_row, is_member, lp_optimize, pairing_columns,
     redundancy_audit, row_values, small_field, system_to_json,
     system_to_latex, theta_system, vertex_cartesian, w0_index, witness_to_json,
 )
@@ -204,6 +204,18 @@ def test_sti_includes_point_tuples():
 def test_sti_budget():
     with pytest.raises(BudgetExceededError):
         gen_sti(7, 10)
+
+
+@pytest.mark.parametrize("kind", ["at", "b", "gr-b"])
+def test_km_budget_refuses_before_enumerating(monkeypatch, kind):
+    def started(*args):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(cones, "field_init", started)
+    monkeypatch.setattr(cones, "_chain_products", started)
+    with pytest.raises(BudgetExceededError):
+        gen_km(17, 4, kind)  # m * n = 68 > 64, the gen_sti default
+    with pytest.raises(BudgetExceededError):
+        gen_km(3, 2, kind, budget=5)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (5, 3), (3, 4)])
@@ -484,9 +496,93 @@ def test_system_equality_ignores_memos():
     a, b = gen_wti(3, 3), gen_wti(3, 3)
     assert a == b
     a.rows()
-    assert a == b
+    a.dual_matrix()
+    assert a._dual is not None and b._dual is None and a == b
     cone_equal(gen_sti(3, 3), a)
     assert a._verdicts and a == b
+
+
+def _rest(system, idx):
+    return InequalitySystem(
+        system.n, system.slots,
+        system.inequalities[:idx] + system.inequalities[idx + 1:],
+        dict(system.meta))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_wti(3, 3),
+                                  lambda: gen_sti(3, 3),
+                                  lambda: gen_wti(4, 4)])
+def test_audit_drops_one_column_of_the_cached_matrix(monkeypatch, make):
+    system = make()
+    given_matrices = []
+
+    def recording(sub, row):
+        given_matrices.append(sub._dual)
+        return lp_optimize(sub, row)
+
+    monkeypatch.setattr(cones, "lp_optimize", recording)
+    redundancy_audit(system)
+    assert len(given_matrices) == len(system.inequalities)
+    for idx, matrices in enumerate(given_matrices):
+        fresh = _rest(system, idx)
+        assert fresh._dual is None  # a fresh system inherits no matrix
+        exact, floats = fresh.dual_matrix()
+        assert matrices == (exact, floats)
+        assert floats == [[float(v) for v in col] for col in exact]
+    # the audit leaves the parent's own matrix whole
+    assert system.dual_matrix() == _rest(system, len(system.inequalities)
+                                         ).dual_matrix()
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (5, 4)])
+def test_cone_lps_same_with_and_without_float_rows(n, m):
+    target = gen_sti(n, m)
+    g, g_float = target.dual_matrix()
+    zero, one = small_field(n).zero, small_field(n).one
+    cost = [zero] * len(target.inequalities) + [-one, one]
+    for q in gen_wti(n, m).inequalities:
+        rhs = [-c for c in inequality_row(n, q.key)]
+        res = lp_solve(g, rhs, cost, zero=zero, float_rows=g_float)
+        assert res == lp_solve(g, rhs, cost, zero=zero)
+
+
+def _oracle_verdict(target, key):
+    """(status, method) that duplicate lookup and an exact-only domination
+    test give, or None where the entry must go to the LP."""
+    if key in target.key_set:
+        return "implied", "duplicate"
+    row = inequality_row(target.n, key)
+    if any(all(a <= b for a, b in zip(row, target.row(q.key)))
+           for q in target.inequalities):
+        return "implied", "dominated"
+    return None
+
+
+def _check_against_oracle(entries, target):
+    for e in entries:
+        if e.method == "orbit":
+            continue
+        want = _oracle_verdict(target, e.via or e.inequality.key)
+        if want is None:
+            assert e.method == "lp", e
+        else:
+            assert (e.status, e.method) == want, e
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", (3, 4))
+def test_cone_equal_methods_match_exact_domination(n, m):
+    # the pairs of the cones suite: the float filter only rejects, so each
+    # entry's (status, method) is the one exact domination alone gives
+    pairs = [(gen_wti(n, m), gen_sti(n, m))]
+    big = gen_wti(n, m + 1)
+    pairs += [(theta_system(gen_km(n, m, kind)), big)
+              for kind in ("at", "gr-at", "b")]
+    for a, b in pairs:
+        cert = cone_equal(a, b)
+        assert cert.equal
+        _check_against_oracle(cert.forward, b)
+        _check_against_oracle(cert.backward, a)
 
 
 # -- coherence sampling ----------------------------------------------------------

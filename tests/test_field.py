@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dihedralcalc.errors import InvalidParameterError, UnsupportedModeError
 from dihedralcalc.field import (
     cyclotomic_polynomial,
+    dot,
     element_from_json,
     field_init,
     q_number,
@@ -241,6 +242,69 @@ def test_integer_form_matches_fraction_reference(name, data):
     for e in (a, a * b):
         back = element_from_json(descr, e.to_json())
         assert back == e and back.to_json() == e.to_json()
+
+
+# degree 1, 2, 4, 8 and 16
+DOT_FIELDS = [real_cyclotomic(6), field_init(2), field_init(4), field_init(8),
+              field_init(16)]
+
+
+def sparse_elements(descr):
+    """Elements with zero coefficients and mixed denominators, zero included."""
+    vec = st.lists(st.one_of(st.just(Fraction(0)), wide_fraction()),
+                   min_size=descr.degree, max_size=descr.degree)
+    return st.one_of(st.just(descr.zero), st.builds(descr.element, vec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("descr", DOT_FIELDS, ids=lambda d: f"deg{d.degree}")
+def test_dot_matches_object_path(descr, data):
+    k = data.draw(st.integers(0, 6))
+    pairs = st.tuples(sparse_elements(descr), sparse_elements(descr))
+    terms = data.draw(st.lists(pairs, min_size=k, max_size=k))
+    want = descr.zero
+    for x, y in terms:
+        want = want + x * y
+    got = dot([x for x, _ in terms], (y for _, y in terms), descr.zero)
+    assert got == want
+    assert_canonical(descr, got)
+    # int and Fraction factors are coerced like the object path coerces them
+    scalars = [Fraction(i + 1, 3) for i in range(k)]
+    mixed = want
+    for c, (_, y) in zip(scalars, terms):
+        mixed = mixed + y * c
+    assert dot([x for x, _ in terms] + scalars, [y for _, y in terms] * 2,
+               descr.zero) == mixed
+
+
+def test_dot_edge_cases():
+    descr = field_init(3)
+    assert dot([], [], descr.zero) is descr.zero
+    assert dot([descr.theta, 0], [descr.zero, descr.theta], descr.zero) \
+        == descr.zero
+    assert dot([descr.theta], [2], descr.zero) == descr.theta * 2
+    with pytest.raises(InvalidParameterError):
+        dot([field_init(5).theta], [descr.one], descr.zero)
+    with pytest.raises(TypeError):
+        dot([descr.one], ["x"], descr.zero)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("descr", DOT_FIELDS[:2] + DOT_FIELDS[3:4],
+                         ids=lambda d: f"deg{d.degree}")
+def test_comparisons_agree_with_sign_of_difference(descr, data):
+    a = data.draw(sparse_elements(descr))
+    b = data.draw(sparse_elements(descr))
+    zero = descr.zero
+    for x, y in ((a, b), (a, zero), (zero, a), (a, 0), (0, a),
+                 (a, Fraction(0)), (zero, zero)):
+        s = (x - y).sign()
+        assert (x < y) == (s < 0)
+        assert (x > y) == (s > 0)
+        assert (x <= y) == (s <= 0)
+        assert (x >= y) == (s >= 0)
 
 
 def test_rational_elements_hash_like_numbers():
