@@ -7,9 +7,9 @@ Reruns with identical inputs produce identical bytes.
 Exit codes: 0 success, 1 verification failure (first counterexample
 reported), 2 usage or malformed input, 3 budget exhausted.  The STI and
 KM enumerations refuse m*n > 64 (m counts the enumerated factors) and
-build refuses n*(stages+1) > 32, each before any work starts; build's
-antipodal tuple stops after 2m+4 growth steps.  The environment variable
-DIHEDRALCALC_BUDGET replaces each of these limits.
+build refuses n*(stages+1)*max(cap, 64)/64 > 32, each before any work
+starts; build's antipodal tuple stops after 2m+4 growth steps.  The
+environment variable DIHEDRALCALC_BUDGET replaces each of these limits.
 """
 
 from __future__ import annotations
@@ -39,9 +39,13 @@ from .filtration import ConcaveWeighting, gr_table_json, limit_table_json, \
 from .manifest import canonical_bytes, make_manifest, wrap
 
 BUDGET_ENV = "DIHEDRALCALC_BUDGET"
-# build refuses n*(stages+1) above this: each stage costs more than the
-# last, and n = 5 with 5 stages (30) grows in about 4 s
+# build refuses n*(stages+1) above this at a cap of at most BUILD_CAP, the
+# default; a larger cap counts cap/BUILD_CAP times, since each stage joins
+# up to cap pairs of each kind and costs more than the last.  The slowest
+# shape measured within the limit, n = 4 with 7 stages, takes about 4 s on
+# a 2-CPU host
 BUILD_BUDGET = 32
+BUILD_CAP = 64
 
 SYSTEM_CHOICES = ("wti", "sti", "km", "bk", "a1")
 
@@ -222,10 +226,11 @@ def _cmd_build(args) -> int:
         if getattr(args, name) < 0:
             raise InvalidParameterError(f"--{name} must be nonnegative")
     budget = _budget(BUILD_BUDGET)
-    size = args.n * (args.stages + 1)
-    if size > budget:
+    size = args.n * (args.stages + 1) * max(args.cap, BUILD_CAP)
+    if size > budget * BUILD_CAP:
         raise BudgetExceededError(
-            f"n*(stages+1) = {size} exceeds budget {budget}")
+            f"n*(stages+1)*max(cap,{BUILD_CAP}) = {size} exceeds "
+            f"budget*{BUILD_CAP} = {budget * BUILD_CAP}")
     graph = ChamberGraph.apartment(args.n, seed=args.seed)
     tup = find_antipodal_tuple(graph, args.m, budget=_budget(None))
     graph = tup.graph
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, default=3,
                    help="size of the antipodal chamber tuple")
-    p.add_argument("--cap", type=int, default=64,
+    p.add_argument("--cap", type=int, default=BUILD_CAP,
                    help="per-round join cap")
     p.add_argument("--dest", help="output file (default: stdout)")
     p.set_defaults(handler=_cmd_build)

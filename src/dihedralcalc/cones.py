@@ -18,9 +18,9 @@ witnesses into the ambient coefficient field.
 
 Every LP of a system runs over the same matrix, so a system builds it once:
 ``dual_matrix`` caches the negated, transposed rows that ``lp_optimize``
-solves over, exactly and as floats for the float simplex pass, and the
-facet audit drops one column of that cache per row instead of building a
-matrix for each sub-system.  Rows are cached with their float images too.
+solves over, and the facet audit drops one column of that cache per row
+instead of building a matrix for each sub-system.  Rows are cached with
+their float images.
 In a cone comparison those images screen entrywise domination: a float
 entry above its partner by more than ``TOL`` rejects the pair, and every
 pair the floats let through is confirmed exactly.  A float rejection can
@@ -162,9 +162,9 @@ class InequalitySystem:
     # key -> _implied_over verdict with this system as the target
     _verdicts: dict = dc_field(default_factory=dict, repr=False,
                                compare=False)
-    # (exact, float) dual LP matrix of lp_optimize; never shared, since it
-    # depends on the inequality list
-    _dual: tuple | None = dc_field(default=None, repr=False, compare=False)
+    # dual LP matrix of lp_optimize; never shared, since it depends on the
+    # inequality list
+    _dual: list | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def key_set(self) -> frozenset:
@@ -184,8 +184,8 @@ class InequalitySystem:
     def rows(self) -> list[tuple]:
         return [self.row(q.key) for q in self.inequalities]
 
-    def dual_matrix(self) -> tuple[list[list], list[list[float]]]:
-        """lp_optimize's constraint matrix, exact and as floats, built once.
+    def dual_matrix(self) -> list[list]:
+        """lp_optimize's constraint matrix, built once.
 
         Row c is minus column c of the system's rows followed by (-1, 1),
         the two columns of the free variable t = t+ - t- of the section.
@@ -193,21 +193,18 @@ class InequalitySystem:
         if self._dual is None:
             one = small_field(self.n).one
             rows = self.rows()
-            exact = [[-row[c] for row in rows] + [-one, one]
-                     for c in range(2 * self.slots)]
-            self._dual = exact, [[float(v) for v in col] for col in exact]
+            self._dual = [[-row[c] for row in rows] + [-one, one]
+                          for c in range(2 * self.slots)]
         return self._dual
 
     def without(self, idx: int) -> InequalitySystem:
         """The system minus its idx-th inequality.  It shares the row cache,
         and its dual matrix is this one's with column idx dropped."""
-        exact, floats = self.dual_matrix()
         return InequalitySystem(
             self.n, self.slots,
             self.inequalities[:idx] + self.inequalities[idx + 1:],
             self.meta, self._rows,
-            _dual=([col[:idx] + col[idx + 1:] for col in exact],
-                   [col[:idx] + col[idx + 1:] for col in floats]))
+            _dual=[col[:idx] + col[idx + 1:] for col in self.dual_matrix()])
 
 
 def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
@@ -526,11 +523,11 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     fld = small_field(system.n)
     zero, one = fld.zero, fld.one
     obj = [c + zero for c in row]
-    g, g_float = system.dual_matrix()
+    g = system.dual_matrix()
     rhs = [-c for c in obj]
     cost = [zero] * len(system.inequalities) + [-one, one]
 
-    res = lp_solve(g, rhs, cost, zero=zero, float_rows=g_float)
+    res = lp_solve(g, rhs, cost, zero=zero)
     if res.status != "optimal":
         # the section is bounded, so by duality an unbounded or infeasible
         # dual means an empty section

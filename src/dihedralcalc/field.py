@@ -413,12 +413,7 @@ class FieldElement:
             if ai:
                 for j, bj in enumerate(o.num):
                     prod[i + j] += ai * bj
-        out = prod[:d]
-        for ce, row in zip(prod[d:], descr._pow_rows):
-            if ce:
-                for i, ri in enumerate(row):
-                    out[i] += ce * ri
-        return _element(descr, tuple(out), self.den * o.den)
+        return _element(descr, _reduced(descr, prod), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -643,20 +638,7 @@ def dot(xs: Iterable, ys: Iterable, zero: FieldElement) -> FieldElement:
     if not dens:
         return zero
     den = lcm(*dens)
-    d = descr.degree
-    if d == 1:
-        return _element(descr, (sum([den // q * a[0] * b[0] for (a, b), q
-                                     in zip(nums, dens)]),), den)
-    if d == 2:  # the common case of the cone layer, unrolled
-        c0 = c1 = c2 = 0
-        for ((a0, a1), (b0, b1)), q in zip(nums, dens):
-            s = den // q
-            c0 += s * a0 * b0
-            c1 += s * (a0 * b1 + a1 * b0)
-            c2 += s * a1 * b1
-        r0, r1 = descr._pow_rows[0]
-        return _element(descr, (c0 + c2 * r0, c1 + c2 * r1), den)
-    acc = [0] * (2 * d - 1)
+    acc = [0] * (2 * descr.degree - 1)
     for (a, b), q in zip(nums, dens):
         s = den // q
         for i, ai in enumerate(a):
@@ -664,12 +646,19 @@ def dot(xs: Iterable, ys: Iterable, zero: FieldElement) -> FieldElement:
                 ai *= s
                 for j, bj in enumerate(b, i):
                     acc[j] += ai * bj
-    out = acc[:d]
-    for ce, row in zip(acc[d:], descr._pow_rows):
+    return _element(descr, _reduced(descr, acc), den)
+
+
+def _reduced(descr: FieldDescriptor, prod: list[int]) -> tuple[int, ...]:
+    """A product's 2d-1 convolution coefficients reduced modulo the minimal
+    polynomial to d coefficients in the power basis."""
+    d = descr.degree
+    out = prod[:d]
+    for ce, row in zip(prod[d:], descr._pow_rows):
         if ce:
             for i, ri in enumerate(row):
                 out[i] += ce * ri
-    return _element(descr, tuple(out), den)
+    return tuple(out)
 
 
 def _coerced(zero: FieldElement, value) -> FieldElement:

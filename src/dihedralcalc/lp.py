@@ -11,14 +11,11 @@ Solves  max c.x  subject to  A x <= b, x >= 0  and reports one of
 "infeasible".
 
 The simplex first runs on Python floats, with the same rule and values
-within ``TOL`` of each other taken as ties.  A caller that solves many LPs
-over one matrix may pass its float image as ``float_rows``: the rows are
-then converted once rather than per solve, and a wrong image can cost
-only the float pass, never a result.  When the float pass stops without
-an optimal basis, cannot convert an input to float, or its basis fails a
-check, the exact tableau solves from a cold start.  Either way the answer
-comes from one place: ``_certify`` solves the final basis system once in
-the field and checks that the basic solution is primal feasible
+within ``TOL`` of each other taken as ties.  When the float pass stops
+without an optimal basis, cannot convert an input to float, or its basis
+fails a check, the exact tableau solves from a cold start.  Either way the
+answer comes from one place: ``_certify`` solves the final basis system
+once in the field and checks that the basic solution is primal feasible
 (x_B >= 0) and dual feasible (y >= 0, y.A >= c; over a ``FieldElement``
 zero each column of y.A is one ``field.dot``).  A certified basis is
 optimal by LP duality, so a wrong float answer costs time and never
@@ -181,8 +178,9 @@ class _FloatTableau(_Tableau):
     iteration takes on these tableaus.
     """
 
-    def __init__(self, float_rows, rhs, d):
-        super().__init__(float_rows, [float(v) for v in rhs], d, 0.0, 1.0)
+    def __init__(self, rows, rhs, d):
+        super().__init__([[float(v) for v in row] for row in rows],
+                         [float(v) for v in rhs], d, 0.0, 1.0)
         self.tol = TOL
         self.budget = 50 * (self.m + self.n_cols)
 
@@ -192,20 +190,15 @@ class _FloatTableau(_Tableau):
         super()._pivot(i, j, cbar)
 
 
-def _float_basis(rows, rhs, objective,
-                 float_rows=None) -> tuple[list[int], int] | None:
+def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
     """The final basis and pivot count of the float simplex, if optimal.
 
-    ``float_rows`` is the float image of ``rows`` when the caller has one;
-    otherwise the rows are converted here.  A basis column
-    j < len(objective) is structural, j - len(objective) a slack.  None
-    when the pass is infeasible or unbounded, cannot convert an input,
-    runs out of pivots or cannot drive an artificial out.
+    A basis column j < len(objective) is structural, j - len(objective) a
+    slack.  None when the pass is infeasible or unbounded, cannot convert
+    an input, runs out of pivots or cannot drive an artificial out.
     """
     try:
-        if float_rows is None:
-            float_rows = [[float(v) for v in row] for row in rows]
-        t = _FloatTableau(float_rows, rhs, len(objective))
+        t = _FloatTableau(rows, rhs, len(objective))
         status = t.solve([float(c) for c in objective])
     except (ArithmeticError, TypeError):
         return None
@@ -288,8 +281,7 @@ def _certify(rows, rhs, cvec, basis, zero, one) -> tuple[list, list] | None:
 
 
 def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
-             *, zero, float_rows: Sequence[Sequence[float]] | None = None,
-             ) -> LPResult:
+             *, zero) -> LPResult:
     """Exact simplex for  max c.x  s.t.  rows[i].x <= rhs[i], x >= 0.
 
     The dual list contains one multiplier per constraint row, normalized for
@@ -298,10 +290,6 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     came from the float pass or the exact cold start, and ``iterations``
     counts the pivots of the pass whose basis is returned.  Raises
     VerificationError if an exact optimal basis fails its certificate.
-
-    ``float_rows``, if given, is ``[[float(v) for v in row] for row in rows]``
-    computed once by a caller that solves many LPs over the same rows; the
-    float pass reads it instead of converting the rows again.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -314,7 +302,7 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     kind = zero.__class__  # values of zero's type need no coercion
     cvec = [c if c.__class__ is kind else c + zero for c in objective]
 
-    found = _float_basis(rows, rhs, cvec, float_rows)
+    found = _float_basis(rows, rhs, cvec)
     certified = None
     if found is not None:
         basis, pivots = found

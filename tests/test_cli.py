@@ -388,10 +388,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_budget_env_exit_3(tmp_path, monkeypatch, capsys):
+    # a budget of 0 stops build at its size check, before the tuple search
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "0")
     dest = tmp_path / "g.json"
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
                  "--dest", str(dest)]) == 3
+    assert "exceeds budget*64 = 0" in capsys.readouterr().err
+    # n = 2 with no stages passes a size check of 3, and the tuple search
+    # gets the same budget: six chambers need four growth steps
+    argv = ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", "6",
+            "--dest", str(dest)]
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "3")
+    assert main(argv) == 3
+    assert "antipodal tuple growth budget exhausted" in \
+        capsys.readouterr().err
+    assert not dest.exists()
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "4")
+    assert main(argv) == 0 and len(load(dest)["payload"]["chambers"]) == 6
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "twelve")
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
                  "--dest", str(dest)]) == 2
@@ -415,10 +428,14 @@ def _refuse_work(monkeypatch):
     ["cone", "--system", "theta:bk", "--n", "33", "--m", "3"],
     ["audit", "--system", "km", "--n", "22", "--m", "4"],
     ["equal", "--a", "theta:km", "--b", "wti", "--n", "17", "--m", "5"],
-    # build: n * (stages + 1) > 32
+    # build: n * (stages + 1) * max(cap, 64) / 64 > 32
     ["build", "--n", "5", "--stages", "6", "--seed", "1"],
     ["build", "--n", "3", "--stages", str(10 ** 9), "--seed", "1"],
+    ["build", "--n", "2", "--stages", str(10 ** 400), "--seed", "1"],
     ["build", "--n", "33", "--stages", "0", "--seed", "1"],
+    ["build", "--n", "3", "--stages", "2", "--seed", "1",
+     "--cap", str(10 ** 9)],
+    ["build", "--n", "3", "--stages", "5", "--seed", "1", "--cap", "128"],
 ])
 def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
                                                    tmp_path, argv):

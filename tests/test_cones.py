@@ -526,24 +526,10 @@ def test_audit_drops_one_column_of_the_cached_matrix(monkeypatch, make):
     for idx, matrices in enumerate(given_matrices):
         fresh = _rest(system, idx)
         assert fresh._dual is None  # a fresh system inherits no matrix
-        exact, floats = fresh.dual_matrix()
-        assert matrices == (exact, floats)
-        assert floats == [[float(v) for v in col] for col in exact]
+        assert matrices == fresh.dual_matrix()
     # the audit leaves the parent's own matrix whole
     assert system.dual_matrix() == _rest(system, len(system.inequalities)
                                          ).dual_matrix()
-
-
-@pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (5, 4)])
-def test_cone_lps_same_with_and_without_float_rows(n, m):
-    target = gen_sti(n, m)
-    g, g_float = target.dual_matrix()
-    zero, one = small_field(n).zero, small_field(n).one
-    cost = [zero] * len(target.inequalities) + [-one, one]
-    for q in gen_wti(n, m).inequalities:
-        rhs = [-c for c in inequality_row(n, q.key)]
-        res = lp_solve(g, rhs, cost, zero=zero, float_rows=g_float)
-        assert res == lp_solve(g, rhs, cost, zero=zero)
 
 
 def _oracle_verdict(target, key):

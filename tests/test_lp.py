@@ -309,22 +309,3 @@ def test_float_guided_matches_cold_path(lp_data):
         assert res.optimum == cold.optimum
         _check_primal(rows, rhs, obj, res)
         _check_dual(rows, rhs, obj, res)
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_lps())
-def test_caller_float_rows_change_nothing(lp_data):
-    # the caller's float image replaces only the conversion of the rows:
-    # status, optimum, vertex, dual and pivot count stay the same
-    rows, rhs, obj = lp_data
-    floats = [[float(v) for v in row] for row in rows]
-    assert lp_solve(rows, rhs, obj, zero=ZERO, float_rows=floats) \
-        == lp_solve(rows, rhs, obj, zero=ZERO)
-
-
-def test_wrong_float_rows_cost_only_the_float_pass():
-    rows, rhs, obj = TWO_ROWS
-    res = lp_solve(rows, rhs, obj, zero=ZERO,
-                   float_rows=[[-1.0, 5.0], [0.5, 0.0]])
-    assert res.status == "optimal" and res.optimum == F(14, 5)
-    assert res.optimum == cold_solve(rows, rhs, obj).optimum
