@@ -29,7 +29,7 @@ class CensusConfig:
     out: Path = Path("census.csv")
 
 
-def run(cfg: CensusConfig) -> None:
+def run(cfg: CensusConfig) -> int:
     rows = []
     agree = total = 0
     for n in cfg.n_values:

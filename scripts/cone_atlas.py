@@ -25,27 +25,30 @@ class AtlasConfig:
     outdir: Path = Path("cone-atlas")
 
 
-def export_cell(cfg: AtlasConfig, system: str, n: int, m: int) -> Path:
-    dest = cfg.outdir / f"{system}-n{n}-m{m}.json"
-    code = cli_main(["cone", "--system", system, "--n", str(n),
-                     "--m", str(m), "--out", "json", "--dest", str(dest)])
-    if code != 0:
-        raise SystemExit(code)
-    if system == "wti":
-        tex = cfg.outdir / f"{system}-n{n}-m{m}.tex"
-        cli_main(["cone", "--system", system, "--n", str(n), "--m", str(m),
-                  "--out", "latex", "--dest", str(tex)])
-    return dest
+def export_cell(cfg: AtlasConfig, system: str, n: int, m: int) -> int:
+    """Write the cell's JSON artifact, and its LaTeX rendering for WTI;
+    returns the first non-zero CLI exit code, else 0."""
+    outs = ("json", "latex") if system == "wti" else ("json",)
+    for out in outs:
+        ext = "json" if out == "json" else "tex"
+        dest = cfg.outdir / f"{system}-n{n}-m{m}.{ext}"
+        code = cli_main(["cone", "--system", system, "--n", str(n),
+                         "--m", str(m), "--out", out, "--dest", str(dest)])
+        if code != 0:
+            return code
+    return 0
 
 
-def run(cfg: AtlasConfig) -> None:
+def run(cfg: AtlasConfig) -> int:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     print(f"{'system':>8} {'n':>3} {'m':>3} {'rows':>5} {'facets':>7}")
     for n in cfg.n_values:
         for m in cfg.m_values:
             audit = redundancy_audit(gen_wti(n, m))
             for system in cfg.systems:
-                export_cell(cfg, system, n, m)
+                code = export_cell(cfg, system, n, m)
+                if code != 0:
+                    return code
                 rows = "-"
                 if system == "wti":
                     rows = len(audit.entries)
@@ -54,6 +57,7 @@ def run(cfg: AtlasConfig) -> None:
                 else:
                     print(f"{system:>8} {n:>3} {m:>3} {rows:>5} {'':>7}")
     print(f"\nartifacts in {cfg.outdir}/")
+    return 0
 
 
 def parse_args(argv=None) -> AtlasConfig:

@@ -14,9 +14,11 @@ invariant of growth.  Two free operations are built on it:
   of mutually antipodal edges, which is the targeted way to make a ball
   intersection nonempty.
 
-On top of the graphs it evaluates weighted-configuration slopes exactly in
-the small cyclotomic field and searches for minimal-slope vertices, which
-is the geometric counterpart of the linear inequality systems in `cones`.
+On top of the graphs it evaluates weighted-configuration slopes and
+searches for minimal-slope vertices.  A slope is minus one row of the
+linear inequality systems in `cones`, read at the vertex's chart key (its
+2n-gon position against each chamber), so `cones.row_value` does every
+pairing exactly in the small cyclotomic field.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cones import DominantWeight, gen_wti, is_member, pairing_columns, small_field
+from .cones import DominantWeight, gen_wti, is_member, row_value, small_field
 from .errors import BudgetExceededError, DomainError, InvalidParameterError, VerificationError
 from .field import FieldElement
 from .prering import GrassPreRing
-from .weyl import DihedralGroup
 
 Chamber = tuple[int, int]
 
@@ -575,22 +576,21 @@ def census_rounds(
     otherwise the final stable count ("0" or "1").
     """
     n = g.n
-    g2 = g.copy()
-    counts = [ball_intersection_census(g2, chambers, radii, l)]
+    counts = [ball_intersection_census(g, chambers, radii, l)]
     can_pod = all(
         radii[i] + radii[j] >= n for i in range(len(radii)) for j in range(i + 1, len(radii))
     )
     for _ in range(3):
         if can_pod:
-            g2 = attach_mpod(g2, chambers, radii, l).graph
+            g = attach_mpod(g, chambers, radii, l).graph
         else:
-            g2 = _census_saturation(g2, chambers, l)
-        counts.append(ball_intersection_census(g2, chambers, radii, l))
+            g = _census_saturation(g, chambers, l)
+        counts.append(ball_intersection_census(g, chambers, radii, l))
     if all(a < b for a, b in zip(counts, counts[1:])):
         outcome = "growing"
     else:
         outcome = str(counts[-1])
-    return CensusReport(g2, counts, outcome)
+    return CensusReport(g, counts, outcome)
 
 
 def census_classified(n: int, radii) -> bool:
@@ -654,41 +654,34 @@ class WeightedConfiguration:
                 raise DomainError(f"weight at slot {i} is not dominant")
 
 
-def _slope_index(n: int, r: int, near_type: int) -> int:
-    # near endpoint of type 1 sits at vertex 0 of the local 2n-gon chart and
-    # the chamber occupies [0, 1]; rotating away from it by r steps lands on
-    # vertex -r, while from the type-2 endpoint it lands on 1 + r
-    if near_type == 1:
-        return (-r) % (2 * n)
-    return (1 + r) % (2 * n)
-
-
-def slope_contribution(n: int, weight: DominantWeight, r: int, near_type: int) -> FieldElement:
-    col_a, col_b = pairing_columns(n)
-    k = _slope_index(n, r, near_type)
-    return -(col_a[k] * weight.a + col_b[k] * weight.b)
+def _chart_index(n: int, d1: int, d2: int) -> int:
+    """2n-gon index of a vertex d1, d2 away from a chamber's type-1, type-2
+    endpoints, in the chart where the chamber is [0, 1]; beyond distance n
+    it is not injective."""
+    if d1 < d2:
+        return -d1 % (2 * n)
+    return (1 + d2) % (2 * n)
 
 
 def slope_at(config: WeightedConfiguration, eta: int) -> FieldElement:
     """Exact slope of the configuration at a vertex.
 
-    The contribution of slot i is -<lambda_i, v> where v is the chamber
-    vertex nearest to eta rotated away from the chamber by r*pi/n,
-    r = d(eta, chamber_i).  Unreachable chambers make the slope undefined.
+    Minus the row whose key is eta's chart index against each chamber: slot
+    i contributes -<lambda_i, v> where v is the chamber vertex nearest to
+    eta rotated away from the chamber by r*pi/n, r = d(eta, chamber_i).
+    Unreachable chambers make the slope undefined.
     """
     g = config.graph
     if not 0 <= eta < g.num_vertices:
         raise InvalidParameterError(f"vertex {eta} outside 0..{g.num_vertices - 1}")
-    descr = small_field(g.n)
     dist = g.distances(eta)
-    total = descr.zero
-    for (x1, x2), w in zip(config.chambers, config.weights):
+    key = []
+    for x1, x2 in config.chambers:
         d1, d2 = dist[x1], dist[x2]
         if d1 is None or d2 is None:
             raise DomainError(f"vertex {eta} cannot reach chamber ({x1}, {x2})")
-        near_type = 1 if d1 < d2 else 2
-        total = total + slope_contribution(g.n, w, min(d1, d2), near_type)
-    return total
+        key.append(_chart_index(g.n, d1, d2))
+    return -row_value(g.n, tuple(key), config.weights)
 
 
 @dataclass
@@ -708,21 +701,23 @@ def min_slope_scan(config: WeightedConfiguration, l: int, within: int) -> ScanRe
     if l not in (1, 2):
         raise InvalidParameterError("grassmannian index must be 1 or 2")
     g = config.graph
-    descr = small_field(g.n)
-    tables = [g.chamber_distances(c) for c in config.chambers]
-    sides = [g.distances(c[0]) for c in config.chambers]
+    sides = [(g.distances(x1), g.distances(x2)) for x1, x2 in config.chambers]
+    seen: set[tuple[int, ...]] = set()
     best: ScanResult | None = None
     for v in range(g.num_vertices):
         if g.types[v] != l:
             continue
-        if any(t[v] is None or t[v] > within for t in tables):
+        dists = [(d1[v], d2[v]) for d1, d2 in sides]
+        if any(d1 is None or min(d1, d2) > within for d1, d2 in dists):
             continue
-        total = descr.zero
-        for t, s, w in zip(tables, sides, config.weights):
-            near_type = 1 if s[v] == t[v] else 2
-            total = total + slope_contribution(g.n, w, t[v], near_type)
-        if best is None or total < best.value:
-            best = ScanResult(v, total)
+        # equal keys give equal slopes, so a repeated key never beats best
+        key = tuple(_chart_index(g.n, d1, d2) for d1, d2 in dists)
+        if key in seen:
+            continue
+        seen.add(key)
+        value = -row_value(g.n, key, config.weights)
+        if best is None or value < best.value:
+            best = ScanResult(v, value)
     return best
 
 
@@ -739,23 +734,17 @@ class SemistableReport:
     violated: object = None
 
 
-def _witness_geometry(n: int, words, l: int) -> list[tuple[int, int]]:
+def _witness_geometry(n: int, key: tuple[int, ...]) -> list[tuple[int, int]]:
     """Per slot: (distance to the chamber, type of the nearest endpoint).
 
-    The violated inequality names Weyl elements w_i; the witness vertex must
-    see chamber i the way w_i(zeta_l) sees the base chamber in the 2n-gon,
-    i.e. at the vertex of index k_i = index of w_i(zeta_l).
+    ``_chart_index`` inverted on the 2n-gon: the witness vertex must see
+    chamber i the way vertex key[i] sees the chamber [0, 1].
     """
-    group = DihedralGroup(n)
     out = []
-    for w in words:
-        k = group.vertex_index(w, l) % (2 * n)
-        d0 = min(k, 2 * n - k)
-        d1 = min((k - 1) % (2 * n), (1 - k) % (2 * n))
-        if d0 < d1:
-            out.append((d0, 1))
-        else:
-            out.append((d1, 2))
+    for k in key:
+        d1 = min(k, 2 * n - k)
+        d2 = min((k - 1) % (2 * n), (1 - k) % (2 * n))
+        out.append((d1, 1) if d1 < d2 else (d2, 2))
     return out
 
 
@@ -807,8 +796,7 @@ def construct_semistable(
         return SemistableReport(True, g, config, scans, None)
 
     tag = verdict.violated.tag
-    geometry = _witness_geometry(n, tag.words, tag.l)
-    g = g.copy()
+    geometry = _witness_geometry(n, verdict.violated.key)
     i, j = tag.slots
     ri, ti = geometry[i]
     rj, tj = geometry[j]

@@ -5,11 +5,13 @@ in canonical form; LaTeX output carries the manifest as a leading comment.
 Reruns with identical inputs produce identical bytes.
 
 Exit codes: 0 success, 1 verification failure (first counterexample
-reported), 2 usage or malformed input, 3 budget exhausted.  The STI and
-KM enumerations refuse m*n > 64 (m counts the enumerated factors) and
-build refuses n*(stages+1)*max(cap, 64)/64 > 32, each before any work
-starts; build's antipodal tuple stops after 2m+4 growth steps.  The
-environment variable DIHEDRALCALC_BUDGET replaces each of these limits.
+reported), 2 usage or malformed input, 3 budget exhausted.  Every system
+spec refuses m*n > 64 (for KM, m counts the enumerated factors),
+mult-table refuses 2n > 64, slope refuses n times the number of chambers
+(at least one) > 64, and build refuses n*(stages+1)*max(cap, 64)/64 > 32,
+each before any field is built or other work starts; build's antipodal
+tuple stops after 2m+4 growth steps.  The environment variable
+DIHEDRALCALC_BUDGET replaces each of these limits.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ BUDGET_ENV = "DIHEDRALCALC_BUDGET"
 # a 2-CPU host
 BUILD_BUDGET = 32
 BUILD_CAP = 64
+# the other commands refuse a size above this: a factor count times n
+SIZE_BUDGET = 64
 
 SYSTEM_CHOICES = ("wti", "sti", "km", "bk", "a1")
 
@@ -66,15 +70,18 @@ def system_from_spec(spec: str, n: int, m: int):
     name, twist = spec, False
     if name.startswith("theta:"):
         twist, name = True, name[len("theta:"):]
+    budget = _budget(SIZE_BUDGET)
+    if name in ("wti", "a1") and m * n > budget:
+        raise BudgetExceededError(f"m*n = {m * n} exceeds budget {budget}")
     if name == "wti":
         built = gen_wti(n, m)
     elif name == "sti":
-        built = gen_sti(n, m, budget=_budget(64))
+        built = gen_sti(n, m, budget=budget)
     elif name == "km" or name == "bk":
         if m < 2:
             raise InvalidParameterError(f"{name} systems need m >= 2")
         built = gen_km(n, m - 1, "at" if name == "km" else "gr-b",
-                       budget=_budget(64))
+                       budget=budget)
     elif name == "a1":
         if n != 2:
             raise InvalidParameterError("the a1 product oracle fixes n = 2")
@@ -135,6 +142,9 @@ def _emit_json(args, command: str, parameters: dict, payload: Any, *,
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_mult_table(args) -> int:
+    budget = _budget(SIZE_BUDGET)
+    if 2 * args.n > budget:
+        raise BudgetExceededError(f"2n = {2 * args.n} exceeds budget {budget}")
     descr = field_init(args.n)
     alg = AlgebraContext(descr)
     if args.algebra == "at":
@@ -268,8 +278,13 @@ def _cmd_slope(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed config: {exc}")
     weights = _parse_weights(config_doc)
-    config = WeightedConfiguration(graph, chambers, weights)
     n = graph.n
+    # an empty configuration still builds the degree ~n field
+    size, budget = n * max(len(chambers), 1), _budget(SIZE_BUDGET)
+    if size > budget:
+        raise BudgetExceededError(
+            f"n*chambers = {size} exceeds budget {budget}")
+    config = WeightedConfiguration(graph, chambers, weights)
     within = args.within if args.within is not None else n
     if args.eta is not None:
         payload: dict[str, Any] = {

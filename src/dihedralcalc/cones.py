@@ -464,6 +464,13 @@ def _eval_row(row: tuple, pairs: list) -> FieldElement:
     return dot(row, itertools.chain.from_iterable(pairs), row[0].descr.zero)
 
 
+def row_value(n: int, key: tuple[int, ...],
+              weights: Sequence[DominantWeight]) -> FieldElement:
+    """The row of ``key`` at a weight tuple, outside any system; 0 for ()."""
+    pairs = itertools.chain.from_iterable(_weight_pairs(n, weights))
+    return dot(inequality_row(n, key), pairs, small_field(n).zero)
+
+
 def row_values(system: InequalitySystem,
                weights: Sequence[DominantWeight]) -> list[FieldElement]:
     """Evaluate every row at a weight tuple, in generation order.

@@ -26,7 +26,7 @@ from dihedralcalc.building import (
     min_slope_scan,
     slope_at,
 )
-from dihedralcalc.building import _census_saturation, _witness_geometry
+from dihedralcalc.building import _census_saturation, _chart_index, _witness_geometry
 from dihedralcalc.cones import (
     DominantWeight,
     embed_small,
@@ -43,6 +43,7 @@ from dihedralcalc.errors import (
 )
 from dihedralcalc.field import field_init
 from dihedralcalc.prering import GrassPreRing
+from dihedralcalc.weyl import DihedralGroup
 
 
 def W(a, b):
@@ -632,6 +633,64 @@ def test_min_slope_scan_tiebreak_and_filter():
     assert near.vertex == 0
     with pytest.raises(InvalidParameterError):
         min_slope_scan(cfg, 0, within=n)
+    # no chambers: the empty row, slope zero everywhere
+    empty = WeightedConfiguration(g, [], [])
+    assert slope_at(empty, 3) == small_field(n).zero
+    assert min_slope_scan(empty, 2, within=0).vertex == 1
+
+
+def test_min_slope_scan_matches_brute_force():
+    # the scan is the least slope_at over the type-l vertices within reach
+    # of every chamber, smallest id on ties; in these grown graphs many
+    # vertices share a chart key, within distance n and beyond it
+    scans = 0
+    for n in (2, 3, 4, 5):
+        for m in (2, 3, 4):
+            rng = random.Random(100 * n + m)
+            tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=n * m), m)
+            g = tup.graph
+            for stage in range(3):
+                if stage:
+                    g = bar_step(g, cap=16)
+                weights = [W(rng.randrange(5), rng.randrange(5)) for _ in range(m)]
+                cfg = WeightedConfiguration(g, tup.chambers, weights)
+                tables = [g.chamber_distances(c) for c in cfg.chambers]
+                slopes = {v: slope_at(cfg, v) for v in range(g.num_vertices)}
+                for within in (n - 1, n, n + 2):
+                    for l in (1, 2):
+                        best = None
+                        for v in range(g.num_vertices):
+                            if g.types[v] == l and all(t[v] <= within for t in tables) \
+                                    and (best is None or slopes[v] < slopes[best]):
+                                best = v
+                        res = min_slope_scan(cfg, l, within)
+                        if best is None:
+                            assert res is None
+                        else:
+                            assert (res.vertex, res.value) == (best, slopes[best])
+                            scans += 1
+    assert scans > 100
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chart_index_inverts_witness_geometry_on_the_apartment(n):
+    # on the apartment, vertex k is its own chart index against the chamber
+    # (0, 1), and _witness_geometry reads back its distance and nearer type
+    g = ChamberGraph.apartment(n)
+    from_0, from_1 = g.distances(0), g.distances(1)
+    for k in range(2 * n):
+        d1, d2 = from_0[k], from_1[k]
+        assert _chart_index(n, d1, d2) == k
+        assert _witness_geometry(n, (k,)) == [(min(d1, d2), 1 if d1 < d2 else 2)]
+
+
+def test_wti_keys_are_the_vertex_indices_of_their_words():
+    # _witness_geometry reads the violated row's key in place of its words
+    for n in range(2, 7):
+        group = DihedralGroup(n)
+        for m in (2, 3, 4):
+            for q in gen_wti(n, m).inequalities:
+                assert q.key == tuple(group.vertex_index(w, q.tag.l) for w in q.tag.words)
 
 
 def test_slope_disconnected_domain_error():
@@ -700,7 +759,7 @@ def test_construct_nonmember_interior_pair():
     n = 3
     weights = [W(0, 0), W(0, 2), W(1, 1)]
     verdict = is_member(gen_wti(n, 3), weights)
-    geo = _witness_geometry(n, verdict.violated.tag.words, verdict.violated.tag.l)
+    geo = _witness_geometry(n, verdict.violated.key)
     i, j = verdict.violated.tag.slots
     assert geo[i][0] >= 1 and geo[j][0] >= 1
     rep = construct_semistable(n, weights, seed=3)

@@ -60,8 +60,9 @@ def test_cone_json_artifact(tmp_path):
     assert len(payload["inequalities"]) == len(gen_wti(3, 3).inequalities)
 
 
-def test_cone_high_degree_field(tmp_path):
-    # n = 101 works over a degree-100 field
+def test_cone_high_degree_field(tmp_path, monkeypatch):
+    # n = 101 works over a degree-100 field once the budget admits m*n = 202
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "202")
     dest = tmp_path / "wti.json"
     run(tmp_path, "cone", "--system", "wti", "--n", "101", "--m", "2",
         "--dest", str(dest))
@@ -416,10 +417,24 @@ def _refuse_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started before the budget check")
     for owner, name in ((cones, "field_init"), (cones, "AlgebraContext"),
-                        (cones, "_chain_products"), (cli, "ChamberGraph"),
+                        (cones, "_chain_products"), (cli, "field_init"),
+                        (cli, "gen_wti"), (cli, "a1_product_system"),
+                        (cli.ChamberGraph, "apartment"),
                         (cli, "find_antipodal_tuple"), (cli, "bar_step"),
-                        (cli, "graph_metrics")):
+                        (cli, "graph_metrics"), (cli, "slope_at"),
+                        (cli, "min_slope_scan")):
         monkeypatch.setattr(owner, name, started)
+
+
+def _write_slope_inputs(tmp_path, n):
+    """A one-edge graph of parameter n (no cycle, so any n passes the girth
+    check) and configs with no chamber and with its one edge."""
+    graph = ChamberGraph(n)
+    graph.add_edge(graph.add_vertex(1), graph.add_vertex(2))
+    (tmp_path / "edge.json").write_text(json.dumps(graph.to_json()))
+    for name, chambers in (("none", []), ("one", [[0, 1]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"chambers": chambers, "weights": [["1", "0"]] * len(chambers)}))
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,12 +451,25 @@ def _refuse_work(monkeypatch):
     ["build", "--n", "3", "--stages", "2", "--seed", "1",
      "--cap", str(10 ** 9)],
     ["build", "--n", "3", "--stages", "5", "--seed", "1", "--cap", "128"],
+    # WTI and the a1 oracle follow the same m*n > 64 rule
+    ["cone", "--system", "wti", "--n", "400", "--m", "3"],
+    ["audit", "--system", "theta:wti", "--n", "33", "--m", "2"],
+    ["equal", "--a", "wti", "--b", "a1", "--n", "2", "--m", "33"],
+    # mult-table multiplies two classes: 2n > 64
+    ["mult-table", "--n", "33", "--algebra", "at"],
+    ["mult-table", "--n", "128", "--algebra", "limit"],
+    # slope: n * max(chambers, 1) > 64
+    ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/one.json"],
+    ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/none.json",
+     "--eta", "0"],
 ])
 def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
                                                    tmp_path, argv):
+    _write_slope_inputs(tmp_path, 3000)
     _refuse_work(monkeypatch)
     monkeypatch.delenv("DIHEDRALCALC_BUDGET", raising=False)
     dest = tmp_path / "out.json"
+    argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv + ["--dest", str(dest)]) == 3
     assert "budget exhausted" in capsys.readouterr().err
     assert not dest.exists()
@@ -455,12 +483,22 @@ def test_budget_env_sets_the_build_and_km_limits(monkeypatch, capsys,
         "--dest", str(dest), expect=3)  # 12 > 11
     run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
         "--dest", str(dest), expect=3)  # 4 * 3 = 12 > 11
+    _write_slope_inputs(tmp_path, 12)
+    smaller = [["cone", "--system", "wti", "--n", "4", "--m", "3"],
+               ["cone", "--system", "a1", "--n", "2", "--m", "6"],
+               ["mult-table", "--n", "6", "--algebra", "at"],
+               ["slope", "--graph", str(tmp_path / "edge.json"),
+                "--config", str(tmp_path / "one.json")]]
+    for argv in smaller:  # each size is 12 > 11
+        run(tmp_path, *argv, "--dest", str(dest), expect=3)
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "12")
     run(tmp_path, "build", "--n", "3", "--stages", "3", "--seed", "1",
         "--dest", str(dest))
     assert len(load(dest)["payload"]["metrics"]) == 4
     run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
         "--dest", str(dest))
+    for argv in smaller:
+        run(tmp_path, *argv, "--dest", str(dest))
     capsys.readouterr()
 
 

@@ -32,6 +32,15 @@ def test_script_writes_output(tmp_path, name, argv, written):
     assert files and all(f.stat().st_size > 0 for f in files)
 
 
+def test_cone_atlas_fails_with_a_failed_latex_export(tmp_path):
+    # a directory in place of the LaTeX file makes that export exit 2
+    (tmp_path / "atlas" / "wti-n2-m3.tex").mkdir(parents=True)
+    proc = run_script("cone_atlas.py", "--n", "2", "--m", "3",
+                      "--outdir", "atlas", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+
+
 def test_semistable_demo_prints_report(tmp_path):
     proc = run_script("semistable_demo.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
