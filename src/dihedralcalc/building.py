@@ -32,7 +32,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cones import DominantWeight, gen_wti, is_member, row_value, small_field
+from .cones import (DominantWeight, gen_wti, is_member, row_value, small_field,
+                    vertex_chart, weight_pairs)
 from .errors import BudgetExceededError, DomainError, InvalidParameterError, VerificationError
 from .field import FieldElement
 from .prering import GrassPreRing
@@ -143,9 +144,6 @@ class ChamberGraph:
                     out.append((u, v))
         return sorted(out)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     # -- metric queries -----------------------------------------------------
 
     def distances(self, src: int, limit: int | None = None) -> list[int | None]:
@@ -219,7 +217,7 @@ class ChamberGraph:
         u, v = chamber
         if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
             raise InvalidParameterError(f"chamber {chamber} has an unknown vertex")
-        if not self.has_edge(u, v):
+        if v not in self.adj[u]:
             raise InvalidParameterError(f"chamber {chamber} is not an edge")
         if self.types[u] == 1:
             return (u, v)
@@ -385,11 +383,12 @@ def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
 
 def antipodal(g: ChamberGraph, a: Chamber, b: Chamber) -> bool:
     """Edges are antipodal when their closest endpoints are exactly n-1 apart."""
-    dist = g.chamber_distances(a)
-    vals = [dist[b[0]], dist[b[1]]]
-    if any(d is None for d in vals):
-        return False
-    return min(vals) == g.n - 1
+    return _opposite(g.n, g.chamber_distances(a), b)
+
+
+def _opposite(n: int, table: list[int | None], b: Chamber) -> bool:
+    """Is the edge b antipodal to the chamber whose distance table is given?"""
+    return table[b[0]] is not None and min(table[b[0]], table[b[1]]) == n - 1
 
 
 @dataclass
@@ -467,7 +466,8 @@ def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> 
     antipodal to all of them, and if none exists attach a pod with all
     radii n-1 on the current tuple; its fresh center edge is antipodal to
     every chamber of the tuple (the center sits at distance exactly n-1,
-    its new neighbor at n).
+    its new neighbor at n).  Each scan reads one distance table per chosen
+    chamber; an edge meeting a chosen chamber is at distance 0 from it.
     """
     if m < 1:
         raise InvalidParameterError("m must be positive")
@@ -477,15 +477,11 @@ def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> 
     chosen: list[Chamber] = []
     steps = 0
     while len(chosen) < m:
-        found = None
-        for e in g2.edges():
-            if any(set(e) & set(c) for c in chosen):
-                continue
-            if all(antipodal(g2, e, c) for c in chosen):
-                found = g2.check_chamber(e)
-                break
+        tables = [g2.chamber_distances(c) for c in chosen]
+        found = next((e for e in g2.edges()
+                      if all(_opposite(n, t, e) for t in tables)), None)
         if found is not None:
-            chosen.append(found)
+            chosen.append(g2.check_chamber(found))
             continue
         steps += 1
         if steps > limit:
@@ -495,10 +491,10 @@ def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> 
         mate = g2.add_vertex(2)
         g2.add_edge(pod.center, mate)
         g2.log.append({"op": "tuple-edge", "edge": [pod.center, mate]})
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not antipodal(g2, chosen[i], chosen[j]):
-                raise VerificationError("constructed tuple failed the antipodality check")
+    for i in range(m - 1):
+        table = g2.chamber_distances(chosen[i])
+        if not all(_opposite(n, table, c) for c in chosen[i + 1:]):
+            raise VerificationError("constructed tuple failed the antipodality check")
     g2.log.append({"op": "tuple", "chambers": [list(c) for c in chosen]})
     return TupleReport(g2, chosen)
 
@@ -681,7 +677,7 @@ def slope_at(config: WeightedConfiguration, eta: int) -> FieldElement:
         if d1 is None or d2 is None:
             raise DomainError(f"vertex {eta} cannot reach chamber ({x1}, {x2})")
         key.append(_chart_index(g.n, d1, d2))
-    return -row_value(g.n, tuple(key), config.weights)
+    return -row_value(g.n, tuple(key), weight_pairs(g.n, config.weights))
 
 
 @dataclass
@@ -690,34 +686,33 @@ class ScanResult:
     value: FieldElement
 
 
-def min_slope_scan(config: WeightedConfiguration, l: int, within: int) -> ScanResult | None:
-    """Minimal slope over type-l vertices, smallest vertex id on ties.
+def min_slope_scan(config: WeightedConfiguration, within: int) -> dict[int, ScanResult | None]:
+    """Minimal slope over the vertices of each type, smallest vertex id on
+    ties, from one pass: {1: type-1 minimum, 2: type-2 minimum}.
 
     Only vertices within distance ``within`` of every chamber are scanned:
     at a finite stage, distances beyond n are not yet the limit distances
     (the limit geometry has diameter n), so scans for semistability
     evidence restrict to the metrically converged range.
     """
-    if l not in (1, 2):
-        raise InvalidParameterError("grassmannian index must be 1 or 2")
     g = config.graph
+    pairs = weight_pairs(g.n, config.weights)
     sides = [(g.distances(x1), g.distances(x2)) for x1, x2 in config.chambers]
-    seen: set[tuple[int, ...]] = set()
-    best: ScanResult | None = None
+    seen: set[tuple] = set()
+    best: dict[int, ScanResult | None] = {1: None, 2: None}
     for v in range(g.num_vertices):
-        if g.types[v] != l:
-            continue
         dists = [(d1[v], d2[v]) for d1, d2 in sides]
         if any(d1 is None or min(d1, d2) > within for d1, d2 in dists):
             continue
         # equal keys give equal slopes, so a repeated key never beats best
         key = tuple(_chart_index(g.n, d1, d2) for d1, d2 in dists)
-        if key in seen:
+        t = g.types[v]
+        if (t, key) in seen:
             continue
-        seen.add(key)
-        value = -row_value(g.n, key, config.weights)
-        if best is None or value < best.value:
-            best = ScanResult(v, value)
+        seen.add((t, key))
+        value = -row_value(g.n, key, pairs)
+        if best[t] is None or value < best[t].value:
+            best[t] = ScanResult(v, value)
     return best
 
 
@@ -740,12 +735,8 @@ def _witness_geometry(n: int, key: tuple[int, ...]) -> list[tuple[int, int]]:
     ``_chart_index`` inverted on the 2n-gon: the witness vertex must see
     chamber i the way vertex key[i] sees the chamber [0, 1].
     """
-    out = []
-    for k in key:
-        d1 = min(k, 2 * n - k)
-        d2 = min((k - 1) % (2 * n), (1 - k) % (2 * n))
-        out.append((d1, 1) if d1 < d2 else (d2, 2))
-    return out
+    chart = vertex_chart(n)
+    return [(d1, 1) if d1 < d2 else (d2, 2) for d1, d2 in (chart[k] for k in key)]
 
 
 def _ensure_leg(g: ChamberGraph, eta: int, target: int, r: int) -> None:
@@ -788,11 +779,9 @@ def construct_semistable(
             if rnd > 0:
                 g = bar_step(g)
                 config = WeightedConfiguration(g, chambers, weights)
-            entry = {"round": rnd, "vertices": g.num_vertices}
-            for l in (1, 2):
-                res = min_slope_scan(config, l, within=n)
-                entry[f"min_{l}"] = res
-            scans.append(entry)
+            best = min_slope_scan(config, within=n)
+            scans.append({"round": rnd, "vertices": g.num_vertices,
+                          "min_1": best[1], "min_2": best[2]})
         return SemistableReport(True, g, config, scans, None)
 
     tag = verdict.violated.tag
@@ -820,14 +809,13 @@ def construct_semistable(
         if s in (i, j):
             continue
         _ensure_leg(g, eta, chambers[s][t - 1], r)
+    dist = g.distances(eta)
     for s, (r, t) in enumerate(geometry):
-        table = g.chamber_distances(chambers[s])
-        if table[eta] != r:
-            raise VerificationError(
-                f"witness sits at distance {table[eta]} != {r} from chamber {s}"
-            )
-        near = chambers[s][t - 1]
-        if g.distance(eta, near) != r:
+        ends = [dist[x] for x in chambers[s]]
+        d = None if None in ends else min(ends)
+        if d != r:
+            raise VerificationError(f"witness sits at distance {d} != {r} from chamber {s}")
+        if ends[t - 1] != r:
             raise VerificationError(f"nearest endpoint of chamber {s} has the wrong type")
     g.log.append({"op": "hn-witness", "vertex": eta, "labels": tag.to_json()})
     config = WeightedConfiguration(g, chambers, weights)

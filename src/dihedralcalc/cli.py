@@ -8,10 +8,10 @@ Exit codes: 0 success, 1 verification failure (first counterexample
 reported), 2 usage or malformed input, 3 budget exhausted.  Every system
 spec refuses m*n > 64 (for KM, m counts the enumerated factors),
 mult-table refuses 2n > 64, slope refuses n times the number of chambers
-(at least one) > 64, and build refuses n*(stages+1)*max(cap, 64)/64 > 32,
-each before any field is built or other work starts; build's antipodal
-tuple stops after 2m+4 growth steps.  The environment variable
-DIHEDRALCALC_BUDGET replaces each of these limits.
+(at least one) > 64, and build refuses n*(stages+1)*max(cap, 64)/64 > 32
+and m*n > 64, each before any field is built or other work starts;
+build's antipodal tuple stops after 2m+4 growth steps.  The environment
+variable DIHEDRALCALC_BUDGET replaces each of these limits.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ BUILD_BUDGET = 32
 BUILD_CAP = 64
 # the other commands refuse a size above this: a factor count times n
 SIZE_BUDGET = 64
+# weights of more bits than this in all are malformed: exact values past
+# 4300 digits cannot be printed
+WEIGHT_BITS = 4096
 
 SYSTEM_CHOICES = ("wti", "sti", "km", "bk", "a1")
 
@@ -72,7 +75,7 @@ def system_from_spec(spec: str, n: int, m: int):
         twist, name = True, name[len("theta:"):]
     budget = _budget(SIZE_BUDGET)
     if name in ("wti", "a1") and m * n > budget:
-        raise BudgetExceededError(f"m*n = {m * n} exceeds budget {budget}")
+        raise BudgetExceededError.over("m*n", m * n, budget)
     if name == "wti":
         built = gen_wti(n, m)
     elif name == "sti":
@@ -113,16 +116,32 @@ def _read_json(path: str) -> tuple[dict, str]:
         raise InvalidParameterError(f"{path}: JSON nested too deeply")
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(f"{path}: not UTF-8 text: {exc.reason}")
+    except ValueError as exc:  # malformed, or an integer past 4300 digits
+        raise InvalidParameterError(f"{path}: not JSON: {exc}")
     return doc, hashlib.sha256(data).hexdigest()
+
+
+def _rational(value: Any) -> Fraction:
+    """A weight coordinate; a long exponent is refused before Fraction expands it."""
+    text = str(value)
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > WEIGHT_BITS:
+        raise ValueError(f"exponent out of range in {text[:40]!r}")
+    return Fraction(text)
 
 
 def _parse_weights(doc: dict) -> list[DominantWeight]:
     try:
-        raw = doc["weights"]
-        return [DominantWeight(Fraction(str(a)), Fraction(str(b)))
-                for a, b in raw]
+        weights = [DominantWeight(_rational(a), _rational(b))
+                   for a, b in doc["weights"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"malformed weights: {exc}")
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
+               for w in weights for x in (w.a, w.b))
+    if bits > WEIGHT_BITS:
+        raise InvalidParameterError(
+            f"malformed weights: {bits} bits, more than {WEIGHT_BITS}")
+    return weights
 
 
 def _write(dest: str | None, data: bytes) -> None:
@@ -144,7 +163,7 @@ def _emit_json(args, command: str, parameters: dict, payload: Any, *,
 def _cmd_mult_table(args) -> int:
     budget = _budget(SIZE_BUDGET)
     if 2 * args.n > budget:
-        raise BudgetExceededError(f"2n = {2 * args.n} exceeds budget {budget}")
+        raise BudgetExceededError.over("2n", 2 * args.n, budget)
     descr = field_init(args.n)
     alg = AlgebraContext(descr)
     if args.algebra == "at":
@@ -238,9 +257,11 @@ def _cmd_build(args) -> int:
     budget = _budget(BUILD_BUDGET)
     size = args.n * (args.stages + 1) * max(args.cap, BUILD_CAP)
     if size > budget * BUILD_CAP:
-        raise BudgetExceededError(
-            f"n*(stages+1)*max(cap,{BUILD_CAP}) = {size} exceeds "
-            f"budget*{BUILD_CAP} = {budget * BUILD_CAP}")
+        raise BudgetExceededError.over(f"n*(stages+1)*max(cap,{BUILD_CAP})/{BUILD_CAP}",
+                                       -(-size // BUILD_CAP), budget)
+    budget = _budget(SIZE_BUDGET)
+    if args.m * args.n > budget:
+        raise BudgetExceededError.over("m*n", args.m * args.n, budget)
     graph = ChamberGraph.apartment(args.n, seed=args.seed)
     tup = find_antipodal_tuple(graph, args.m, budget=_budget(None))
     graph = tup.graph
@@ -282,8 +303,7 @@ def _cmd_slope(args) -> int:
     # an empty configuration still builds the degree ~n field
     size, budget = n * max(len(chambers), 1), _budget(SIZE_BUDGET)
     if size > budget:
-        raise BudgetExceededError(
-            f"n*chambers = {size} exceeds budget {budget}")
+        raise BudgetExceededError.over("n*chambers", size, budget)
     config = WeightedConfiguration(graph, chambers, weights)
     within = args.within if args.within is not None else n
     if args.eta is not None:
@@ -291,8 +311,7 @@ def _cmd_slope(args) -> int:
             "eta": args.eta, "slope": slope_at(config, args.eta).to_json()}
     else:
         payload = {"within": within}
-        for l in (1, 2):
-            scan = min_slope_scan(config, l, within=within)
+        for l, scan in min_slope_scan(config, within=within).items():
             payload[f"grassmannian_{l}"] = None if scan is None else {
                 "vertex": scan.vertex, "value": scan.value.to_json()}
     parameters = {"graph_sha256": graph_sha, "config_sha256": config_sha,
@@ -424,6 +443,6 @@ def main(argv=None) -> int:
     except (InvalidParameterError, UnsupportedModeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,14 @@ witnesses into the ambient coefficient field.
 Every LP of a system runs over the same matrix, so a system builds it once:
 ``dual_matrix`` caches the negated, transposed rows that ``lp_optimize``
 solves over, and the facet audit drops one column of that cache per row
-instead of building a matrix for each sub-system.  Rows are cached with
-their float images.
-In a cone comparison those images screen entrywise domination: a float
-entry above its partner by more than ``TOL`` rejects the pair, and every
-pair the floats let through is confirmed exactly.  A float rejection can
-only send a row on to the exact LP, so "dominated" is never a float
-verdict; the entries are half-cosines in [-1, 1], whose float error is far
-below ``TOL``, so in practice no verdict changes its method either.
+instead of building a matrix for each sub-system.
+
+Entrywise domination needs no field arithmetic.  The entries of vertex k
+are cos(d1*pi/n) and cos(d2*pi/n), where d1, d2 <= n are the distances
+from k to the vertices 0 and 1 along the 2n-gon (``vertex_chart``).
+Cosine decreases on [0, pi], so one row is entrywise <= another exactly
+when, slot by slot, its vertex is at least as far as the other's from both
+ends.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (BudgetExceededError, DomainError, InvalidParameterError,
 from .field import (FieldDescriptor, FieldElement, dot, field_init,
                     real_cyclotomic)
 from .filtration import ConcaveWeighting, gr_product
-from .lp import TOL, lp_solve
+from .lp import lp_solve
 from .prering import enumerate_sigma
 from .weyl import IDENTITY, DihedralGroup, WeylElement
 
@@ -68,6 +68,14 @@ def antipode(n: int, k: int) -> int:
 def w0_index(n: int, k: int) -> int:
     """Index of the longest element applied to vertex k."""
     return antipode(n, _group(n).star_index(k))
+
+
+@lru_cache(maxsize=None)
+def vertex_chart(n: int) -> tuple[tuple[int, int], ...]:
+    """(d1, d2) per vertex k: its distances to the vertices 0 and 1 of the
+    2n-gon, the chart that pairing_columns reads as cos(d*pi/n)."""
+    return tuple((min(k, 2 * n - k), min(abs(k - 1), 2 * n + 1 - k))
+                 for k in range(2 * n))
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +165,6 @@ class InequalitySystem:
     slots: int
     inequalities: list[LinearInequality]
     meta: dict = dc_field(default_factory=dict)
-    # key -> (row, float image of the row); shared with audit sub-systems
-    _rows: dict = dc_field(default_factory=dict, repr=False, compare=False)
     # key -> _implied_over verdict with this system as the target
     _verdicts: dict = dc_field(default_factory=dict, repr=False,
                                compare=False)
@@ -170,16 +176,8 @@ class InequalitySystem:
     def key_set(self) -> frozenset:
         return frozenset(q.key for q in self.inequalities)
 
-    def images(self, key: tuple[int, ...]) -> tuple[tuple, tuple]:
-        """(row, float image of the row) of a key, built once."""
-        cached = self._rows.get(key)
-        if cached is None:
-            row = inequality_row(self.n, key)
-            cached = self._rows[key] = row, tuple(map(float, row))
-        return cached
-
     def row(self, key: tuple[int, ...]) -> tuple:
-        return self.images(key)[0]
+        return inequality_row(self.n, key)
 
     def rows(self) -> list[tuple]:
         return [self.row(q.key) for q in self.inequalities]
@@ -198,12 +196,11 @@ class InequalitySystem:
         return self._dual
 
     def without(self, idx: int) -> InequalitySystem:
-        """The system minus its idx-th inequality.  It shares the row cache,
-        and its dual matrix is this one's with column idx dropped."""
+        """The system minus its idx-th inequality; its dual matrix is this
+        one's with column idx dropped."""
         return InequalitySystem(
             self.n, self.slots,
-            self.inequalities[:idx] + self.inequalities[idx + 1:],
-            self.meta, self._rows,
+            self.inequalities[:idx] + self.inequalities[idx + 1:], self.meta,
             _dual=[col[:idx] + col[idx + 1:] for col in self.dual_matrix()])
 
 
@@ -335,7 +332,7 @@ def gen_km(n: int, m: int, kind: str = "at",
     if m < 1:
         raise InvalidParameterError("need at least one factor")
     if m * n > budget:
-        raise BudgetExceededError(f"m*n = {m * n} exceeds budget {budget}")
+        raise BudgetExceededError.over("m*n", m * n, budget)
     if kind == "b":
         return _merge_km(n, m, ("b1", "b2"), "KM:b", budget)
     if kind == "gr-b":
@@ -454,7 +451,8 @@ class MembershipResult:
     value: FieldElement | None = None
 
 
-def _weight_pairs(n: int, weights: Sequence[DominantWeight]):
+def weight_pairs(n: int, weights: Sequence[DominantWeight]) -> list:
+    """The (a, b) coordinates of each weight in the small field."""
     k = small_field(n)
     return [(k.from_rational(w.a), k.from_rational(w.b)) for w in weights]
 
@@ -464,11 +462,10 @@ def _eval_row(row: tuple, pairs: list) -> FieldElement:
     return dot(row, itertools.chain.from_iterable(pairs), row[0].descr.zero)
 
 
-def row_value(n: int, key: tuple[int, ...],
-              weights: Sequence[DominantWeight]) -> FieldElement:
-    """The row of ``key`` at a weight tuple, outside any system; 0 for ()."""
-    pairs = itertools.chain.from_iterable(_weight_pairs(n, weights))
-    return dot(inequality_row(n, key), pairs, small_field(n).zero)
+def row_value(n: int, key: tuple[int, ...], pairs: list) -> FieldElement:
+    """The row of ``key`` at small-field (a, b) pairs; 0 for ()."""
+    return dot(inequality_row(n, key), itertools.chain.from_iterable(pairs),
+               small_field(n).zero)
 
 
 def row_values(system: InequalitySystem,
@@ -481,7 +478,7 @@ def row_values(system: InequalitySystem,
     if len(weights) != system.slots:
         raise InvalidParameterError(
             f"expected {system.slots} weights, got {len(weights)}")
-    pairs = _weight_pairs(system.n, weights)
+    pairs = weight_pairs(system.n, weights)
     return [_eval_row(system.row(q.key), pairs) for q in system.inequalities]
 
 
@@ -493,7 +490,7 @@ def is_member(system: InequalitySystem, weights: Sequence[DominantWeight]) -> Me
     for s, w in enumerate(weights):
         if not w.is_dominant():
             raise DomainError(f"weight at slot {s} is not dominant")
-    pairs = _weight_pairs(system.n, weights)
+    pairs = weight_pairs(system.n, weights)
     return evaluate_point(system, pairs)
 
 
@@ -619,17 +616,11 @@ def _canon_key(key: tuple, sym: tuple) -> tuple:
     return tuple(out)
 
 
-def _dominated_by(images: tuple[tuple, tuple],
-                  other: tuple[tuple, tuple]) -> bool:
-    """Is the row entrywise <= the other?  Both come as (row, float image).
-
-    The floats only reject: an entry with float(a) > float(b) + TOL sends
-    the row on to the next candidate or to the LP, never to a verdict.
-    Every pair the floats let through is compared exactly.
-    """
-    if any(a > b + TOL for a, b in zip(images[1], other[1])):
-        return False
-    return all(a <= b for a, b in zip(images[0], other[0]))
+def _dominated_by(chart: tuple, key: tuple, other: tuple) -> bool:
+    """Is row(key) entrywise <= row(other)?  Exactly when each slot's vertex
+    is at least as far as the other's from both ends of the chart."""
+    return all(chart[a][0] >= chart[b][0] and chart[a][1] >= chart[b][1]
+               for a, b in zip(key, other))
 
 
 def _implied_over(target: InequalitySystem,
@@ -638,19 +629,14 @@ def _implied_over(target: InequalitySystem,
     result = target._verdicts.get(key)
     if result is not None:
         return result
-    zero = small_field(target.n).zero
+    chart = vertex_chart(target.n)
     if key in target.key_set:
         result = ("implied", "duplicate", None)
+    elif any(_dominated_by(chart, key, q.key) for q in target.inequalities):
+        result = ("implied", "dominated", None)
     else:
-        row = inequality_row(target.n, key)
-        images = row, tuple(map(float, row))
-        for q in target.inequalities:
-            if _dominated_by(images, target.images(q.key)):
-                result = ("implied", "dominated", None)
-                break
-    if result is None:
-        res = lp_optimize(target, row)
-        if res.status == "optimal" and res.optimum > zero:
+        res = lp_optimize(target, target.row(key))
+        if res.status == "optimal" and res.optimum > small_field(target.n).zero:
             result = ("separates", "lp", res)
         else:
             result = ("implied", "lp", res)

@@ -212,7 +212,7 @@ def enumerate_sigma(n: int, m: int, budget: int = 64) -> list[tuple]:
     if n is None:
         raise InvalidParameterError("finite groups only")
     if m * n > budget:
-        raise BudgetExceededError(f"m*n = {m * n} exceeds budget {budget}")
+        raise BudgetExceededError.over("m*n", m * n, budget)
     ring = FlagPreRing(n)
     labels = sorted((w.length, w.side or 0) for w in ring.basis())
     elems = [ring.group.element(ln, sd or None) for ln, sd in labels]

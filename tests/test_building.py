@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc.building import (
     ChamberGraph,
+    ScanResult,
     WeightedConfiguration,
     antipodal,
     attach_mpod,
@@ -626,17 +627,19 @@ def test_min_slope_scan_tiebreak_and_filter():
     cfg = WeightedConfiguration(g, [(0, 1)], [W(1, 0)])
     # type-2 vertices 1 and 5 are mirror images through the weight point
     assert slope_at(cfg, 1) == slope_at(cfg, 5)
-    res = min_slope_scan(cfg, 2, within=n)
+    res = min_slope_scan(cfg, within=n)[2]
     assert res.vertex == 1
     assert res.value == slope_at(cfg, 1)
-    near = min_slope_scan(cfg, 1, within=0)
-    assert near.vertex == 0
-    with pytest.raises(InvalidParameterError):
-        min_slope_scan(cfg, 0, within=n)
-    # no chambers: the empty row, slope zero everywhere
+    # within 0 only the chamber's own endpoints are scanned, one per type
+    assert min_slope_scan(cfg, within=0) == {
+        1: ScanResult(0, slope_at(cfg, 0)), 2: ScanResult(1, slope_at(cfg, 1))}
+    # no chambers: the empty row, slope zero everywhere, and the empty key
+    # is scanned once per type
     empty = WeightedConfiguration(g, [], [])
     assert slope_at(empty, 3) == small_field(n).zero
-    assert min_slope_scan(empty, 2, within=0).vertex == 1
+    zero = small_field(n).zero
+    assert min_slope_scan(empty, within=0) == {
+        1: ScanResult(0, zero), 2: ScanResult(1, zero)}
 
 
 def test_min_slope_scan_matches_brute_force():
@@ -657,17 +660,18 @@ def test_min_slope_scan_matches_brute_force():
                 tables = [g.chamber_distances(c) for c in cfg.chambers]
                 slopes = {v: slope_at(cfg, v) for v in range(g.num_vertices)}
                 for within in (n - 1, n, n + 2):
+                    res = min_slope_scan(cfg, within)
+                    assert set(res) == {1, 2}
                     for l in (1, 2):
                         best = None
                         for v in range(g.num_vertices):
                             if g.types[v] == l and all(t[v] <= within for t in tables) \
                                     and (best is None or slopes[v] < slopes[best]):
                                 best = v
-                        res = min_slope_scan(cfg, l, within)
                         if best is None:
-                            assert res is None
+                            assert res[l] is None
                         else:
-                            assert (res.vertex, res.value) == (best, slopes[best])
+                            assert (res[l].vertex, res[l].value) == (best, slopes[best])
                             scans += 1
     assert scans > 100
 
@@ -699,8 +703,8 @@ def test_slope_disconnected_domain_error():
     cfg = WeightedConfiguration(g, [(0, 1)], [W(1, 0)])
     with pytest.raises(DomainError):
         slope_at(cfg, lonely)
-    res = min_slope_scan(cfg, 1, within=g.num_vertices)
-    assert res.vertex != lonely
+    res = min_slope_scan(cfg, within=g.num_vertices)
+    assert res[1].vertex != lonely
 
 
 def test_weighted_configuration_validation():

@@ -2,11 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from dihedralcalc import cli, cones
+from dihedralcalc import cli, cones, prering
 from dihedralcalc.building import ChamberGraph, WeightedConfiguration, \
     min_slope_scan, slope_at
-from dihedralcalc.cli import main, system_from_spec
+from dihedralcalc.cli import SYSTEM_CHOICES, main, system_from_spec
 from dihedralcalc.cones import DominantWeight, gen_km, gen_wti, theta_system
 from dihedralcalc.manifest import digest
 
@@ -235,8 +236,7 @@ def test_slope_matches_library(tmp_path):
     run(tmp_path, "slope", "--graph", str(dest), "--config", str(cfg),
         "--dest", str(out))
     scanned = load(out)["payload"]
-    for l in (1, 2):
-        expect = min_slope_scan(config, l, within=3)
+    for l, expect in min_slope_scan(config, within=3).items():
         got = scanned[f"grassmannian_{l}"]
         assert got["vertex"] == expect.vertex
         assert got["value"] == expect.value.to_json()
@@ -394,17 +394,17 @@ def test_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     dest = tmp_path / "g.json"
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
                  "--dest", str(dest)]) == 3
-    assert "exceeds budget*64 = 0" in capsys.readouterr().err
-    # n = 2 with no stages passes a size check of 3, and the tuple search
-    # gets the same budget: six chambers need four growth steps
+    assert "max(cap,64)/64 = 6 exceeds budget 0" in capsys.readouterr().err
+    # n = 2 with no stages passes a size check of 3, but six chambers count
+    # m*n = 12 against the same budget before the tuple search starts (its
+    # growth steps, at most m, stay below m*n, so the CLI never reaches them)
     argv = ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", "6",
             "--dest", str(dest)]
-    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "3")
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "11")
     assert main(argv) == 3
-    assert "antipodal tuple growth budget exhausted" in \
-        capsys.readouterr().err
+    assert "m*n = 12 exceeds budget 11" in capsys.readouterr().err
     assert not dest.exists()
-    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "4")
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "12")
     assert main(argv) == 0 and len(load(dest)["payload"]["chambers"]) == 6
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "twelve")
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
@@ -417,7 +417,8 @@ def _refuse_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started before the budget check")
     for owner, name in ((cones, "field_init"), (cones, "AlgebraContext"),
-                        (cones, "_chain_products"), (cli, "field_init"),
+                        (cones, "_chain_products"), (prering, "FlagPreRing"),
+                        (cli, "field_init"),
                         (cli, "gen_wti"), (cli, "a1_product_system"),
                         (cli.ChamberGraph, "apartment"),
                         (cli, "find_antipodal_tuple"), (cli, "bar_step"),
@@ -462,6 +463,12 @@ def _write_slope_inputs(tmp_path, n):
     ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/one.json"],
     ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/none.json",
      "--eta", "0"],
+    # build's antipodal tuple: m * n > 64
+    ["build", "--n", "3", "--stages", "0", "--seed", "1", "--m", "22"],
+    ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", "33"],
+    ["build", "--n", "8", "--stages", "3", "--seed", "1", "--m", "9"],
+    ["build", "--n", "2", "--stages", "0", "--seed", "1",
+     "--m", str(10 ** 400)],
 ])
 def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
                                                    tmp_path, argv):
@@ -529,3 +536,199 @@ def test_parser_built_once_and_handlers_see_patches(tmp_path, monkeypatch):
     run(tmp_path, "build", "--n", "3", "--stages", "1", "--seed", "0",
         "--m", "2", "--dest", str(tmp_path / "b.json"))
     assert len(seen) == 2
+
+
+# -- fuzzing the exit-code contract ------------------------------------------------
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# integers that overflow every budget, up to the 4300 digits argparse reads
+TAIL = st.sampled_from([2 ** 63, 10 ** 400, int("9" * 4300)])
+HUGE = st.integers(65, 10 ** 6) | TAIL
+SPECS = [f"{t}{s}" for t in ("", "theta:") for s in SYSTEM_CHOICES]
+
+
+def _contract(argv, capsys) -> tuple[int, str]:
+    """Exit code and stderr of one request; the code is 0, 1, 2 or 3, and 1
+    comes only from a failed exact check."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert code != 1 or err.startswith("verification failed:"), (argv, err)
+    return code, err
+
+
+_scalar = (st.none() | st.booleans() | st.integers(-3, 8) | st.integers()
+           | st.sampled_from([10 ** 400, -(10 ** 400), int("7" * 4300)])
+           | st.floats() | st.text(max_size=6)
+           | st.sampled_from(["1e5000", "-1e-999999999", "3/4", "0/0", "nan",
+                              "2.5", "1" * 5000]))
+_json = st.recursive(
+    _scalar, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "seed", "vertices", "edges", "id", "type",
+                         "graph", "payload", "chambers", "weights", "log"])
+        | st.text(max_size=3), kids, max_size=4),
+    max_leaves=12)
+_pair = st.lists(_scalar, max_size=3) | _json
+
+
+def _mutated(doc: dict, key: str, value) -> dict:
+    return {**doc, key: value}
+
+
+_graph_doc = st.builds(
+    _mutated, st.sampled_from([ChamberGraph.apartment(n).to_json()
+                               for n in (2, 3)]),
+    st.sampled_from(["n", "seed", "vertices", "edges", "log"]),
+    _json | st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6)
+    | HUGE) | _json
+_config_doc = st.fixed_dictionaries({
+    "chambers": st.lists(_pair, max_size=3) | _json,
+    "weights": st.lists(_pair, max_size=3) | _json}) | _json
+
+
+@FUZZ
+@given(kind=st.sampled_from(["member", "graph", "config"]),
+       doc=_json | _graph_doc | _config_doc,
+       raw=st.none() | st.binary(max_size=20))
+def test_fuzz_malformed_documents_keep_the_exit_contract(tmp_path, capsys,
+                                                         kind, doc, raw):
+    bad = tmp_path / "bad.json"
+    if raw is None:
+        bad.write_text(json.dumps(doc))
+    else:
+        bad.write_bytes(raw)
+    if kind == "member":
+        argv = ["member", "--system", "wti", "--n", "3", "--m", "2",
+                "--point", str(bad)]
+    else:
+        argv = _bad_json_argv(tmp_path, "slope" if kind == "graph"
+                              else "slope-config", bad)
+    _contract(argv + ["--dest", str(tmp_path / "out.json")], capsys)
+
+
+@FUZZ
+@given(coords=st.lists(st.integers(0, 8) | st.sampled_from(
+    [int("7" * 4300), "1e4300", "-1e-4300", "1e4096", "1e-4096", "1e2000",
+     "1e-2000", "1/3", "0.25"]), min_size=4, max_size=4),
+       slope=st.booleans())
+def test_fuzz_weights_too_long_to_print_exit_2(tmp_path, capsys, coords,
+                                               slope):
+    # two well-formed weights; exact values past 4300 digits cannot be
+    # printed, so weights that could yield them are refused up front
+    weights = [coords[:2], coords[2:]]
+    doc = tmp_path / "weights.json"
+    doc.write_text(json.dumps({"chambers": [[0, 1], [0, 1]],
+                               "weights": weights}))
+    if slope:
+        (tmp_path / "g.json").write_text(
+            json.dumps(ChamberGraph.apartment(3).to_json()))
+        argv = ["slope", "--graph", str(tmp_path / "g.json"),
+                "--config", str(doc)]
+    else:
+        argv = ["member", "--system", "wti", "--n", "3", "--m", "2",
+                "--point", str(doc)]
+    code, err = _contract(argv + ["--dest", str(tmp_path / "out.json")],
+                          capsys)
+    assert code in (0, 2) and (code == 0 or "malformed weights" in err)
+
+
+def _oversized(draw) -> list[str]:
+    """A request with one size far past its budget and the rest small."""
+    small = lambda lo, hi: str(draw(st.integers(lo, hi)))
+    huge = str(draw(HUGE))
+    command = draw(st.sampled_from(
+        ["cone", "audit", "member", "equal", "mult-table", "build", "slope"]))
+    if command == "mult-table":
+        return ["mult-table", "--n", huge, "--algebra", "at"]
+    if command == "build":
+        sizes = {"--n": small(2, 4), "--stages": small(0, 2),
+                 "--cap": small(0, 64), "--m": small(1, 4)}
+        flag = draw(st.sampled_from(sorted(sizes)))
+        # only a cap past 1024 overflows at n = 2 with no stages
+        sizes[flag] = str(draw(st.integers(1025, 10 ** 6) | TAIL)) \
+            if flag == "--cap" else huge
+        return ["build", "--seed", "1"] + [x for kv in sizes.items() for x in kv]
+    if command == "slope":
+        return ["slope", "--graph", "{tmp}/wide.json", "--config",
+                draw(st.sampled_from(["{tmp}/none.json", "{tmp}/many.json"]))]
+    n, m = (huge, small(2, 4)) if draw(st.booleans()) else (small(2, 4), huge)
+    if command == "equal":
+        specs = ["--a", draw(st.sampled_from(SPECS)),
+                 "--b", draw(st.sampled_from(SPECS))]
+    else:
+        specs = ["--system", draw(st.sampled_from(SPECS))]
+        if command == "member":
+            specs += ["--point", "{tmp}/point.json"]
+    return [command] + specs + ["--n", n, "--m", m]
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_extreme_sizes_are_budget_refusals(tmp_path, monkeypatch, capsys,
+                                                data):
+    _refuse_work(monkeypatch)
+    monkeypatch.delenv("DIHEDRALCALC_BUDGET", raising=False)
+    graph = ChamberGraph(int("9" * 4300))
+    graph.add_edge(graph.add_vertex(1), graph.add_vertex(2))
+    (tmp_path / "wide.json").write_text(json.dumps(graph.to_json()))
+    _write_slope_inputs(tmp_path, 3)
+    (tmp_path / "many.json").write_text(json.dumps(
+        {"chambers": [[0, 1]] * 22, "weights": [["1", "0"]] * 22}))
+    write_point(tmp_path, [(0, 0)] * 3)
+    dest = tmp_path / "out.json"
+    argv = [a.format(tmp=tmp_path) for a in _oversized(data.draw)]
+    code, err = _contract(argv + ["--dest", str(dest)], capsys)
+    assert code == 3 and "budget exhausted" in err, (argv, err)
+    assert not dest.exists()
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_small_and_negative_integers_keep_the_exit_contract(
+        tmp_path, capsys, data):
+    # every size at most 1 is refused or cheap, whatever its magnitude
+    low = str(data.draw(st.integers(max_value=1) | st.sampled_from(
+        [-(10 ** 400), -int("9" * 4300)])))
+    argv = data.draw(st.sampled_from([
+        ["cone", "--system", "sti", "--n", low, "--m", "3"],
+        ["cone", "--system", "theta:km", "--n", "3", "--m", low],
+        ["member", "--system", "a1", "--n", "2", "--m", low,
+         "--point", "{tmp}/point.json"],
+        ["mult-table", "--n", low, "--algebra", "limit"],
+        ["build", "--n", low, "--stages", "0", "--seed", "1"],
+        ["build", "--n", "2", "--stages", low, "--seed", low],
+        ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", low],
+        ["build", "--n", "2", "--stages", "0", "--seed", "1", "--cap", low],
+        ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/one.json",
+         "--eta", low],
+        ["slope", "--graph", "{tmp}/edge.json", "--config", "{tmp}/one.json",
+         "--within", low],
+    ]))
+    _write_slope_inputs(tmp_path, 3)
+    write_point(tmp_path, [(1, 0)] * 2)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    _contract(argv + ["--dest", str(tmp_path / "out.json")], capsys)
+
+
+@FUZZ
+@given(spec=st.text(max_size=12) | st.sampled_from(
+    ["WTI", "theta:theta:wti", "wti ", "", "theta:", "theta", "km:at",
+     "gr-b", "θ:km", "-h", "--m"]),
+       prefix=st.sampled_from(["", "theta:"]),
+       command=st.sampled_from(["cone", "audit", "member", "equal"]))
+def test_fuzz_unknown_specs_exit_2_before_any_work(tmp_path, monkeypatch,
+                                                   capsys, spec, prefix,
+                                                   command):
+    spec = prefix + spec
+    assume(spec not in SPECS)
+    _refuse_work(monkeypatch)
+    if command == "equal":
+        argv = ["equal", f"--a={spec}", "--b", "wti"]
+    else:
+        argv = [command, f"--system={spec}"]
+        if command == "member":
+            argv += ["--point", str(write_point(tmp_path, [(0, 0)] * 3))]
+    code, _ = _contract(argv + ["--n", "3", "--m", "3", "--dest",
+                                str(tmp_path / "out.json")], capsys)
+    assert code == 2

@@ -19,7 +19,8 @@ from dihedralcalc.cones import (
     embed_small, equality_to_json, evaluate_point, gen_km,
     gen_sti, gen_wti, inequality_row, is_member, lp_optimize, pairing_columns,
     redundancy_audit, row_values, small_field, system_to_json,
-    system_to_latex, theta_system, vertex_cartesian, w0_index, witness_to_json,
+    system_to_latex, theta_system, vertex_cartesian, vertex_chart, w0_index,
+    witness_to_json,
 )
 from dihedralcalc.errors import (BudgetExceededError, DomainError,
                                  InvalidParameterError, VerificationError)
@@ -558,8 +559,8 @@ def _check_against_oracle(entries, target):
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("m", (3, 4))
 def test_cone_equal_methods_match_exact_domination(n, m):
-    # the pairs of the cones suite: the float filter only rejects, so each
-    # entry's (status, method) is the one exact domination alone gives
+    # the pairs of the cones suite: domination read off the vertex chart
+    # gives each entry the (status, method) that exact row comparison gives
     pairs = [(gen_wti(n, m), gen_sti(n, m))]
     big = gen_wti(n, m + 1)
     pairs += [(theta_system(gen_km(n, m, kind)), big)
@@ -569,6 +570,17 @@ def test_cone_equal_methods_match_exact_domination(n, m):
         assert cert.equal
         _check_against_oracle(cert.forward, b)
         _check_against_oracle(cert.backward, a)
+
+
+def test_chart_rule_matches_exact_column_comparison():
+    # row(key) <= row(other) entrywise iff, slot by slot, the key's vertex is
+    # at least as far as the other's from both ends: cos decreases on [0, pi]
+    for n in range(2, 33):
+        col_a, col_b = pairing_columns(n)
+        chart = vertex_chart(n)
+        for a, b in itertools.product(range(2 * n), repeat=2):
+            exact = (col_a[a] <= col_a[b]) and (col_b[a] <= col_b[b])
+            assert cones._dominated_by(chart, (a,), (b,)) == exact, (n, a, b)
 
 
 # -- coherence sampling ----------------------------------------------------------

@@ -322,7 +322,7 @@ def test_cone_cache_accessors_are_reached_through_their_class():
         found = Uses(path, types)
         owned |= found.owned
         by_name |= found.by_name
-    for name in ("images", "dual_matrix", "without"):
+    for name in ("dual_matrix", "without"):
         assert ("InequalitySystem", name) in owned and name not in by_name
 
 
