@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .cones import (DominantWeight, gen_wti, is_member, row_value, small_field,
                     vertex_chart, weight_pairs)
-from .errors import BudgetExceededError, DomainError, InvalidParameterError, VerificationError
+from .errors import DomainError, InvalidParameterError, VerificationError
 from .field import FieldElement
 from .prering import GrassPreRing
 
@@ -381,13 +381,9 @@ def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
     return g2
 
 
-def antipodal(g: ChamberGraph, a: Chamber, b: Chamber) -> bool:
-    """Edges are antipodal when their closest endpoints are exactly n-1 apart."""
-    return _opposite(g.n, g.chamber_distances(a), b)
-
-
 def _opposite(n: int, table: list[int | None], b: Chamber) -> bool:
-    """Is the edge b antipodal to the chamber whose distance table is given?"""
+    """Is the edge b antipodal to the chamber whose distance table is given?
+    Edges are antipodal when their closest endpoints are exactly n-1 apart."""
     return table[b[0]] is not None and min(table[b[0]], table[b[1]]) == n - 1
 
 
@@ -422,13 +418,14 @@ def attach_mpod(
     for i, r in enumerate(radii):
         if not (0 < r <= n - 1):
             raise InvalidParameterError(f"radius {r} at slot {i} outside 1..{n - 1}")
-    for i in range(len(chambers)):
+    for i in range(len(chambers) - 1):
+        table = g.chamber_distances(chambers[i])
         for j in range(i + 1, len(chambers)):
             if radii[i] + radii[j] < n:
                 raise InvalidParameterError(
                     f"radii at slots {i} and {j} sum to {radii[i] + radii[j]} < {n}"
                 )
-            if not antipodal(g, chambers[i], chambers[j]):
+            if not _opposite(n, table, chambers[j]):
                 raise InvalidParameterError(f"chambers at slots {i} and {j} are not antipodal")
 
     g2 = g.copy()
@@ -459,33 +456,34 @@ class TupleReport:
     chambers: list[Chamber]
 
 
-def find_antipodal_tuple(g: ChamberGraph, m: int, budget: int | None = None) -> TupleReport:
+def find_antipodal_tuple(g: ChamberGraph, m: int) -> TupleReport:
     """Grow the graph until it carries m mutually antipodal chambers.
 
     Greedy: keep the chambers found so far, scan existing edges for one
     antipodal to all of them, and if none exists attach a pod with all
     radii n-1 on the current tuple; its fresh center edge is antipodal to
     every chamber of the tuple (the center sits at distance exactly n-1,
-    its new neighbor at n).  Each scan reads one distance table per chosen
-    chamber; an edge meeting a chosen chamber is at distance 0 from it.
+    its new neighbor at n), so at most m-1 pods are attached.  Each scan
+    reads one distance table per chosen chamber; an edge meeting a chosen
+    chamber is at distance 0 from it.
     """
     if m < 1:
         raise InvalidParameterError("m must be positive")
-    limit = budget if budget is not None else 2 * m + 4
     g2 = g.copy()
     n = g2.n
     chosen: list[Chamber] = []
-    steps = 0
+    grown = False
     while len(chosen) < m:
         tables = [g2.chamber_distances(c) for c in chosen]
         found = next((e for e in g2.edges()
                       if all(_opposite(n, t, e) for t in tables)), None)
         if found is not None:
             chosen.append(g2.check_chamber(found))
+            grown = False
             continue
-        steps += 1
-        if steps > limit:
-            raise BudgetExceededError("antipodal tuple growth budget exhausted")
+        if grown:
+            raise VerificationError("the pod's center edge is not antipodal to the tuple")
+        grown = True
         pod = attach_mpod(g2, chosen, [n - 1] * len(chosen), 1)
         g2 = pod.graph
         mate = g2.add_vertex(2)

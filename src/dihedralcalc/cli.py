@@ -5,13 +5,10 @@ in canonical form; LaTeX output carries the manifest as a leading comment.
 Reruns with identical inputs produce identical bytes.
 
 Exit codes: 0 success, 1 verification failure (first counterexample
-reported), 2 usage or malformed input, 3 budget exhausted.  Every system
-spec refuses m*n > 64 (for KM, m counts the enumerated factors),
-mult-table refuses 2n > 64, slope refuses n times the number of chambers
-(at least one) > 64, and build refuses n*(stages+1)*max(cap, 64)/64 > 32
-and m*n > 64, each before any field is built or other work starts;
-build's antipodal tuple stops after 2m+4 growth steps.  The environment
-variable DIHEDRALCALC_BUDGET replaces each of these limits.
+reported), 2 usage or malformed input, 3 budget exhausted.  Every command
+counts the size of its request and refuses one above DIHEDRALCALC_BUDGET
+(default 64) before any field is built or other work starts; the README
+lists the size each command counts.
 """
 
 from __future__ import annotations
@@ -41,15 +38,13 @@ from .filtration import ConcaveWeighting, gr_table_json, limit_table_json, \
 from .manifest import canonical_bytes, make_manifest, wrap
 
 BUDGET_ENV = "DIHEDRALCALC_BUDGET"
-# build refuses n*(stages+1) above this at a cap of at most BUILD_CAP, the
-# default; a larger cap counts cap/BUILD_CAP times, since each stage joins
-# up to cap pairs of each kind and costs more than the last.  The slowest
-# shape measured within the limit, n = 4 with 7 stages, takes about 4 s on
-# a 2-CPU host
-BUILD_BUDGET = 32
-BUILD_CAP = 64
-# the other commands refuse a size above this: a factor count times n
+# every command refuses a request whose size, a count times n, exceeds this
+# (or DIHEDRALCALC_BUDGET).  build counts n*(stages+1)*max(cap, BUILD_CAP)/32:
+# each stage joins up to cap pairs of each kind and costs more than the
+# last.  The slowest build measured within the limit, n = 4 with 7 stages,
+# takes about 4 s on a 2-CPU host
 SIZE_BUDGET = 64
+BUILD_CAP = 64
 # weights of more bits than this in all are malformed: exact values past
 # 4300 digits cannot be printed
 WEIGHT_BITS = 4096
@@ -57,15 +52,18 @@ WEIGHT_BITS = 4096
 SYSTEM_CHOICES = ("wti", "sti", "km", "bk", "a1")
 
 
-def _budget(default: int | None) -> int | None:
+def _refuse(what: str, size: int) -> None:
+    """Raise BudgetExceededError when a request's size exceeds the budget."""
     value = os.environ.get(BUDGET_ENV)
-    if value is None:
-        return default
     try:
-        return int(value)
+        budget = SIZE_BUDGET if value is None else int(value)
     except ValueError:
         raise InvalidParameterError(
             f"{BUDGET_ENV} must be an integer, got {value!r}")
+    if size > budget:
+        bits = size.bit_length()  # str refuses integers past 4300 digits
+        shown = size if bits <= 14000 else f"2**{bits - 1} or more"
+        raise BudgetExceededError(f"{what} = {shown} exceeds budget {budget}")
 
 
 def system_from_spec(spec: str, n: int, m: int):
@@ -73,26 +71,24 @@ def system_from_spec(spec: str, n: int, m: int):
     name, twist = spec, False
     if name.startswith("theta:"):
         twist, name = True, name[len("theta:"):]
-    budget = _budget(SIZE_BUDGET)
-    if name in ("wti", "a1") and m * n > budget:
-        raise BudgetExceededError.over("m*n", m * n, budget)
+    if name not in SYSTEM_CHOICES:
+        raise InvalidParameterError(
+            f"unknown system {spec!r}; choose from "
+            f"{', '.join(SYSTEM_CHOICES)} with optional theta: prefix")
+    if name in ("sti", "km", "bk") and m < 2:
+        raise InvalidParameterError(f"{name} systems need m >= 2")
+    # KM and BK systems enumerate m - 1 factors
+    _refuse("m*n", (m - 1 if name in ("km", "bk") else m) * n)
     if name == "wti":
         built = gen_wti(n, m)
     elif name == "sti":
-        built = gen_sti(n, m, budget=budget)
-    elif name == "km" or name == "bk":
-        if m < 2:
-            raise InvalidParameterError(f"{name} systems need m >= 2")
-        built = gen_km(n, m - 1, "at" if name == "km" else "gr-b",
-                       budget=budget)
+        built = gen_sti(n, m)
     elif name == "a1":
         if n != 2:
             raise InvalidParameterError("the a1 product oracle fixes n = 2")
         built = a1_product_system(m)
     else:
-        raise InvalidParameterError(
-            f"unknown system {spec!r}; choose from "
-            f"{', '.join(SYSTEM_CHOICES)} with optional theta: prefix")
+        built = gen_km(n, m - 1, "at" if name == "km" else "gr-b")
     return theta_system(built) if twist else built
 
 
@@ -161,9 +157,7 @@ def _emit_json(args, command: str, parameters: dict, payload: Any, *,
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_mult_table(args) -> int:
-    budget = _budget(SIZE_BUDGET)
-    if 2 * args.n > budget:
-        raise BudgetExceededError.over("2n", 2 * args.n, budget)
+    _refuse("2n", 2 * args.n)
     descr = field_init(args.n)
     alg = AlgebraContext(descr)
     if args.algebra == "at":
@@ -254,16 +248,11 @@ def _cmd_build(args) -> int:
     for name in ("stages", "cap"):
         if getattr(args, name) < 0:
             raise InvalidParameterError(f"--{name} must be nonnegative")
-    budget = _budget(BUILD_BUDGET)
     size = args.n * (args.stages + 1) * max(args.cap, BUILD_CAP)
-    if size > budget * BUILD_CAP:
-        raise BudgetExceededError.over(f"n*(stages+1)*max(cap,{BUILD_CAP})/{BUILD_CAP}",
-                                       -(-size // BUILD_CAP), budget)
-    budget = _budget(SIZE_BUDGET)
-    if args.m * args.n > budget:
-        raise BudgetExceededError.over("m*n", args.m * args.n, budget)
+    _refuse(f"n*(stages+1)*max(cap,{BUILD_CAP})/32", -(-size // 32))
+    _refuse("m*n", args.m * args.n)
     graph = ChamberGraph.apartment(args.n, seed=args.seed)
-    tup = find_antipodal_tuple(graph, args.m, budget=_budget(None))
+    tup = find_antipodal_tuple(graph, args.m)
     graph = tup.graph
     stages = [_finite(graph_metrics(graph))]
     for _ in range(args.stages):
@@ -301,9 +290,7 @@ def _cmd_slope(args) -> int:
     weights = _parse_weights(config_doc)
     n = graph.n
     # an empty configuration still builds the degree ~n field
-    size, budget = n * max(len(chambers), 1), _budget(SIZE_BUDGET)
-    if size > budget:
-        raise BudgetExceededError.over("n*chambers", size, budget)
+    _refuse("n*chambers", n * max(len(chambers), 1))
     config = WeightedConfiguration(graph, chambers, weights)
     within = args.within if args.within is not None else n
     if args.eta is not None:
@@ -352,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact dihedral intersection calculus: multiplication "
                     "tables, stability-cone systems, building constructions, "
                     "and verification suites.",
-        epilog=f"Set {BUDGET_ENV} to override enumeration budgets.")
+        epilog=f"Set {BUDGET_ENV} to override the work budget.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, system: bool = False):

@@ -39,8 +39,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraContext, Element, _label
-from .errors import (BudgetExceededError, DomainError, InvalidParameterError,
-                     VerificationError)
+from .errors import DomainError, InvalidParameterError, VerificationError
 from .field import (FieldDescriptor, FieldElement, dot, field_init,
                     real_cyclotomic)
 from .filtration import ConcaveWeighting, gr_product
@@ -269,11 +268,11 @@ def gen_wti(n: int, m: int) -> InequalitySystem:
     return sys
 
 
-def gen_sti(n: int, m: int, budget: int = 64) -> InequalitySystem:
+def gen_sti(n: int, m: int) -> InequalitySystem:
     """Stability inequalities: one pair of scalars per nonzero point-multiple
     tuple of Schubert classes in the flag pre-ring."""
     g = _group(n)
-    tuples = enumerate_sigma(n, m, budget)
+    tuples = enumerate_sigma(n, m)
     tagged = []
     for tup in tuples:
         for l in (1, 2):
@@ -309,8 +308,7 @@ def _chain_products(elems: list[Element], mul, sigma, m: int) -> dict:
 _KM_KINDS = ("at", "gr-at", "b1", "b2", "b", "gr-b1", "gr-b2", "gr-b")
 
 
-def gen_km(n: int, m: int, kind: str = "at",
-           budget: int = 64) -> InequalitySystem:
+def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
     """Inequality system carried by nonzero m-fold structure constants.
 
     For a tuple (x_1..x_m; y) with nonzero constant, the scalar inequality
@@ -324,19 +322,16 @@ def gen_km(n: int, m: int, kind: str = "at",
     pair only against the vertex type their Grassmannian carries and are
     tagged "BK"; everything else pairs against both types and is tagged
     "KM".  Dominance of each slot is an ambient assumption, not an
-    inequality row.  As in enumerate_sigma, m*n > budget raises
-    BudgetExceededError before the m-multisets are enumerated.
+    inequality row.
     """
     if kind not in _KM_KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}")
     if m < 1:
         raise InvalidParameterError("need at least one factor")
-    if m * n > budget:
-        raise BudgetExceededError.over("m*n", m * n, budget)
     if kind == "b":
-        return _merge_km(n, m, ("b1", "b2"), "KM:b", budget)
+        return _merge_km(n, m, ("b1", "b2"), "KM:b")
     if kind == "gr-b":
-        return _merge_km(n, m, ("gr-b1", "gr-b2"), "BK:gr-b", budget)
+        return _merge_km(n, m, ("gr-b1", "gr-b2"), "BK:gr-b")
 
     descr = field_init(n)
     ctx = AlgebraContext(descr)
@@ -390,9 +385,9 @@ def gen_km(n: int, m: int, kind: str = "at",
     })
 
 
-def _merge_km(n: int, m: int, kinds: tuple[str, ...], label: str,
-              budget: int) -> InequalitySystem:
-    parts = [gen_km(n, m, k, budget) for k in kinds]
+def _merge_km(n: int, m: int, kinds: tuple[str, ...],
+              label: str) -> InequalitySystem:
+    parts = [gen_km(n, m, k) for k in kinds]
     tagged = []
     for part in parts:
         tagged.extend((q.key, q.tag) for q in part.inequalities)
@@ -690,16 +685,23 @@ def cone_equal(sys_a: InequalitySystem,
 
 # -- exports ------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _image_powers(descr: FieldDescriptor, degree: int) -> tuple:
+    """1, c, ..., c^(degree-1) for the ambient image c = two_cos(2) of the
+    small field's generator 2cos(pi/n)."""
+    image, powers = descr.two_cos(2), [descr.one]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] * image)
+    return tuple(powers)
+
+
 def embed_small(descr: FieldDescriptor, value: FieldElement) -> FieldElement:
-    """Horner-evaluate a small-field element at the ambient image of its
-    generator 2cos(pi/n)."""
+    """Evaluate a small-field element at the ambient image of its generator
+    2cos(pi/n)."""
     if value.descr is descr:
         return value
-    image = descr.two_cos(2)
-    out = descr.zero
-    for c in reversed(value.coeffs):
-        out = out * image + descr.from_rational(c)
-    return out
+    powers = _image_powers(descr, value.descr.degree)
+    return dot(value.num, powers, descr.zero) / value.den
 
 
 def witness_to_json(descr: FieldDescriptor, witness: list) -> list:
@@ -743,7 +745,7 @@ def equality_to_json(sys_a: InequalitySystem, sys_b: InequalitySystem,
     def entry_doc(e: ImplicationEntry) -> dict:
         doc = {"inequality_tag": e.inequality.tag.to_json(),
                "key": list(e.inequality.key),
-               "status": "implied" if e.status == "implied" else "separates",
+               "status": e.status,
                "method": e.method}
         if e.via is not None:
             doc["via"] = list(e.via)

@@ -30,13 +30,7 @@ class DomainError(CalcError):
 
 
 class BudgetExceededError(CalcError):
-    """A construction or audit exceeded its configured work budget."""
-
-    @classmethod
-    def over(cls, what: str, size: int, budget: int) -> "BudgetExceededError":
-        bits = size.bit_length()  # str refuses integers past 4300 digits
-        shown = size if bits <= 14000 else f"2**{bits - 1} or more"
-        return cls(f"{what} = {shown} exceeds budget {budget}")
+    """A request exceeded the command line's work budget."""
 
 
 class VerificationError(CalcError):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .algebra import bilinear
 from .errors import (
-    BudgetExceededError,
     DomainError,
     InvalidParameterError,
     UndefinedSumError,
@@ -204,15 +203,13 @@ class FlagPreRing:
         return value
 
 
-def enumerate_sigma(n: int, m: int, budget: int = 64) -> list[tuple]:
+def enumerate_sigma(n: int, m: int) -> list[tuple]:
     """All m-tuples of Weyl elements whose flag product is a nonzero
     multiple of the point class, in lexicographic label order."""
     if m < 2:
         raise InvalidParameterError("m must be at least 2")
     if n is None:
         raise InvalidParameterError("finite groups only")
-    if m * n > budget:
-        raise BudgetExceededError.over("m*n", m * n, budget)
     ring = FlagPreRing(n)
     labels = sorted((w.length, w.side or 0) for w in ring.basis())
     elems = [ring.group.element(ln, sd or None) for ln, sd in labels]

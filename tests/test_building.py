@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dihedralcalc.building import (
     ChamberGraph,
     ScanResult,
+    PodReport,
     WeightedConfiguration,
-    antipodal,
     attach_mpod,
     ball_intersection_census,
     bar_step,
@@ -27,7 +27,8 @@ from dihedralcalc.building import (
     min_slope_scan,
     slope_at,
 )
-from dihedralcalc.building import _census_saturation, _chart_index, _witness_geometry
+from dihedralcalc import building
+from dihedralcalc.building import _census_saturation, _chart_index, _opposite, _witness_geometry
 from dihedralcalc.cones import (
     DominantWeight,
     embed_small,
@@ -37,7 +38,6 @@ from dihedralcalc.cones import (
     vertex_cartesian,
 )
 from dihedralcalc.errors import (
-    BudgetExceededError,
     DomainError,
     InvalidParameterError,
     VerificationError,
@@ -375,10 +375,11 @@ def test_attach_mpod_random_girth():
 
 def test_antipodal_predicate():
     g = ChamberGraph.apartment(4)
-    assert antipodal(g, (0, 1), (4, 5))
-    assert not antipodal(g, (0, 1), (3, 4))
-    assert not antipodal(g, (0, 1), (1, 2))
-    assert not antipodal(g, (0, 1), (2, 3))
+    table = g.chamber_distances((0, 1))
+    assert _opposite(g.n, table, (4, 5))
+    assert not _opposite(g.n, table, (3, 4))
+    assert not _opposite(g.n, table, (1, 2))
+    assert not _opposite(g.n, table, (2, 3))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3), (4, 3), (4, 4), (5, 3)])
@@ -397,9 +398,15 @@ def test_find_antipodal_pair_uses_existing_edges():
     assert rep.graph.num_vertices == g.num_vertices
 
 
-def test_find_antipodal_tuple_budget():
-    with pytest.raises(BudgetExceededError):
-        find_antipodal_tuple(ChamberGraph.apartment(3), 3, budget=0)
+def test_find_antipodal_tuple_checks_each_pod_edge(monkeypatch):
+    # a pod centered on an endpoint of the first chamber gives a new edge at
+    # distance 0 from it, so the scan right after the pod finds no edge
+    def misplaced(g, chambers, radii, center_type):
+        return PodReport(g.copy(), chambers[0][0])
+
+    monkeypatch.setattr(building, "attach_mpod", misplaced)
+    with pytest.raises(VerificationError, match="not antipodal"):
+        find_antipodal_tuple(ChamberGraph.apartment(3), 3)
 
 
 def test_find_antipodal_tuple_deterministic():

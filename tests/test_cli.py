@@ -394,10 +394,9 @@ def test_budget_env_exit_3(tmp_path, monkeypatch, capsys):
     dest = tmp_path / "g.json"
     assert main(["build", "--n", "3", "--stages", "1", "--seed", "1",
                  "--dest", str(dest)]) == 3
-    assert "max(cap,64)/64 = 6 exceeds budget 0" in capsys.readouterr().err
-    # n = 2 with no stages passes a size check of 3, but six chambers count
-    # m*n = 12 against the same budget before the tuple search starts (its
-    # growth steps, at most m, stay below m*n, so the CLI never reaches them)
+    assert "max(cap,64)/32 = 12 exceeds budget 0" in capsys.readouterr().err
+    # n = 2 with no stages passes a size check of 4, but six chambers count
+    # m*n = 12 against the same budget before the tuple search starts
     argv = ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", "6",
             "--dest", str(dest)]
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "11")
@@ -444,7 +443,7 @@ def _write_slope_inputs(tmp_path, n):
     ["cone", "--system", "theta:bk", "--n", "33", "--m", "3"],
     ["audit", "--system", "km", "--n", "22", "--m", "4"],
     ["equal", "--a", "theta:km", "--b", "wti", "--n", "17", "--m", "5"],
-    # build: n * (stages + 1) * max(cap, 64) / 64 > 32
+    # build: n * (stages + 1) * max(cap, 64) / 32 > 64
     ["build", "--n", "5", "--stages", "6", "--seed", "1"],
     ["build", "--n", "3", "--stages", str(10 ** 9), "--seed", "1"],
     ["build", "--n", "2", "--stages", str(10 ** 400), "--seed", "1"],
@@ -469,6 +468,11 @@ def _write_slope_inputs(tmp_path, n):
     ["build", "--n", "8", "--stages", "3", "--seed", "1", "--m", "9"],
     ["build", "--n", "2", "--stages", "0", "--seed", "1",
      "--m", str(10 ** 400)],
+    # the smallest build past the limit: 4 * (8 + 1) * 64 / 32 = 72
+    ["build", "--n", "4", "--stages", "8", "--seed", "1"],
+    # STI systems follow the m*n > 64 rule too: 10 * 7 = 70
+    ["cone", "--system", "sti", "--n", "7", "--m", "10"],
+    ["equal", "--a", "theta:sti", "--b", "wti", "--n", "5", "--m", "13"],
 ])
 def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
                                                    tmp_path, argv):
@@ -485,27 +489,29 @@ def test_oversized_requests_exit_3_before_any_work(monkeypatch, capsys,
 def test_budget_env_sets_the_build_and_km_limits(monkeypatch, capsys,
                                                  tmp_path):
     dest = tmp_path / "out.json"
-    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "11")
-    run(tmp_path, "build", "--n", "3", "--stages", "3", "--seed", "1",
-        "--dest", str(dest), expect=3)  # 12 > 11
-    run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
-        "--dest", str(dest), expect=3)  # 4 * 3 = 12 > 11
     _write_slope_inputs(tmp_path, 12)
-    smaller = [["cone", "--system", "wti", "--n", "4", "--m", "3"],
-               ["cone", "--system", "a1", "--n", "2", "--m", "6"],
-               ["mult-table", "--n", "6", "--algebra", "at"],
-               ["slope", "--graph", str(tmp_path / "edge.json"),
-                "--config", str(tmp_path / "one.json")]]
-    for argv in smaller:  # each size is 12 > 11
+    sized_12 = [
+        # build: 3 * (1 + 1) * 64 / 32, then m * n = 6 * 2
+        ["build", "--n", "3", "--stages", "1", "--seed", "1"],
+        ["build", "--n", "2", "--stages", "0", "--seed", "1", "--m", "6"],
+        # KM and BK count m - 1 factors: 4 * 3
+        ["cone", "--system", "km", "--n", "3", "--m", "5"],
+        ["cone", "--system", "bk", "--n", "3", "--m", "5"],
+        ["cone", "--system", "sti", "--n", "3", "--m", "4"],
+        ["cone", "--system", "wti", "--n", "4", "--m", "3"],
+        ["cone", "--system", "a1", "--n", "2", "--m", "6"],
+        ["mult-table", "--n", "6", "--algebra", "at"],
+        ["slope", "--graph", str(tmp_path / "edge.json"),
+         "--config", str(tmp_path / "one.json")]]
+    monkeypatch.setenv("DIHEDRALCALC_BUDGET", "11")
+    for argv in sized_12:
         run(tmp_path, *argv, "--dest", str(dest), expect=3)
+        assert " = 12 exceeds budget 11" in capsys.readouterr().err
     monkeypatch.setenv("DIHEDRALCALC_BUDGET", "12")
-    run(tmp_path, "build", "--n", "3", "--stages", "3", "--seed", "1",
-        "--dest", str(dest))
-    assert len(load(dest)["payload"]["metrics"]) == 4
-    run(tmp_path, "cone", "--system", "km", "--n", "3", "--m", "5",
-        "--dest", str(dest))
-    for argv in smaller:
+    for argv in sized_12:
         run(tmp_path, *argv, "--dest", str(dest))
+        if argv[0] == "build":  # every stage ran
+            assert len(load(dest)["payload"]["metrics"]) == int(argv[4]) + 1
     capsys.readouterr()
 
 

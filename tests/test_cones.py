@@ -22,8 +22,8 @@ from dihedralcalc.cones import (
     system_to_latex, theta_system, vertex_cartesian, vertex_chart, w0_index,
     witness_to_json,
 )
-from dihedralcalc.errors import (BudgetExceededError, DomainError,
-                                 InvalidParameterError, VerificationError)
+from dihedralcalc.errors import (DomainError, InvalidParameterError,
+                                 VerificationError)
 from dihedralcalc.field import field_init
 from dihedralcalc.lp import lp_solve
 from dihedralcalc.weyl import DihedralGroup
@@ -200,23 +200,6 @@ def test_sti_includes_point_tuples():
             key = [kw] * m
             key[i] = k0
             assert tuple(key) in sti.key_set
-
-
-def test_sti_budget():
-    with pytest.raises(BudgetExceededError):
-        gen_sti(7, 10)
-
-
-@pytest.mark.parametrize("kind", ["at", "b", "gr-b"])
-def test_km_budget_refuses_before_enumerating(monkeypatch, kind):
-    def started(*args):
-        raise AssertionError("enumeration started")
-    monkeypatch.setattr(cones, "field_init", started)
-    monkeypatch.setattr(cones, "_chain_products", started)
-    with pytest.raises(BudgetExceededError):
-        gen_km(17, 4, kind)  # m * n = 68 > 64, the gen_sti default
-    with pytest.raises(BudgetExceededError):
-        gen_km(3, 2, kind, budget=5)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (5, 3), (3, 4)])

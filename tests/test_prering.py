@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dihedralcalc.errors import (
-    BudgetExceededError,
     DomainError,
     InvalidParameterError,
     UndefinedSumError,
@@ -337,10 +336,6 @@ def test_sigma_rejects_same_type_chains():
             assert sides == {1, 2}
 
 
-def test_sigma_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_sigma(6, 4, budget=20)
-    assert enumerate_sigma(6, 4, budget=24)
 
 
 def test_sigma_invalid_parameters():
