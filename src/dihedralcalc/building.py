@@ -14,6 +14,10 @@ invariant of growth.  Two free operations are built on it:
   of mutually antipodal edges, which is the targeted way to make a ball
   intersection nonempty.
 
+Antipodality, ball-intersection counts, chart keys and geodesics are all
+read from tables of ``ChamberGraph.distances``, one bounded multi-source
+BFS.
+
 On top of the graphs it evaluates weighted-configuration slopes and
 searches for minimal-slope vertices.  A slope is minus one row of the
 linear inequality systems in `cones`, read at the vertex's chart key (its
@@ -24,7 +28,6 @@ pairing exactly in the small cyclotomic field.
 from __future__ import annotations
 
 import bisect
-import collections
 import copy as _copy
 import csv
 import io
@@ -146,18 +149,30 @@ class ChamberGraph:
 
     # -- metric queries -----------------------------------------------------
 
-    def distances(self, src: int, limit: int | None = None) -> list[int | None]:
+    def distances(self, *sources: int, limit: int | None = None) -> list[int | None]:
+        """Distance from each vertex to its nearest source, by one BFS.
+
+        None for a vertex farther than ``limit`` or unreachable.  Every
+        distance table of this module comes from here; only the ``add_path``
+        guard (``_ball``, whose cost is the ball's, not the graph's) and
+        ``girth`` (its BFS sees ids >= the source and stops early) search
+        on their own.
+        """
+        adj = self.adj
         dist: list[int | None] = [None] * self.num_vertices
-        dist[src] = 0
-        queue = collections.deque([src])
-        while queue:
-            u = queue.popleft()
-            if limit is not None and dist[u] >= limit:
-                continue
-            for v in self.adj[u]:
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        for s in sources:
+            dist[s] = 0
+        frontier = list(sources)
+        depth = 0
+        while frontier and (limit is None or depth < limit):
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if dist[y] is None:
+                        dist[y] = depth
+                        nxt.append(y)
+            frontier = nxt
         return dist
 
     def _ball(self, src: int, radius: int) -> dict[int, int]:
@@ -174,44 +189,26 @@ class ChamberGraph:
             frontier = nxt
         return ball
 
-    def distance(self, u: int, v: int) -> int | None:
-        return self.distances(u)[v]
-
     def shortest_path(self, u: int, v: int) -> list[int] | None:
-        """A shortest u-v path; ties broken toward smaller vertex ids.
+        """A shortest u-v path, None when v is unreachable from u.
 
-        Adjacency lists are kept sorted, so scanning them in order is the
-        tie-break.
+        One ``distances(v)`` table; each step goes to the smallest-id
+        neighbour one closer to v.  Two distinct geodesics of length d < n
+        would close a cycle of length at most 2d < 2n, so under girth >= 2n
+        a path shorter than n is the only shortest one.
         """
-        parent: dict[int, int] = {u: -1}
-        queue = collections.deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                path = [v]
-                while parent[path[-1]] != -1:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            for y in self.adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        return None
+        dist = self.distances(v)
+        if dist[u] is None:
+            return None
+        path = [u]
+        while path[-1] != v:
+            x = path[-1]
+            path.append(next(y for y in self.adj[x] if dist[y] == dist[x] - 1))
+        return path
 
     def chamber_distances(self, chamber: Chamber) -> list[int | None]:
-        """min(d(., u), d(., v)) for the edge (u, v), by a two-source BFS."""
-        u, v = chamber
-        dist: list[int | None] = [None] * self.num_vertices
-        dist[u] = 0
-        dist[v] = 0
-        queue = collections.deque([u, v])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if dist[y] is None:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+        """min(d(., u), d(., v)) for the edge (u, v)."""
+        return self.distances(*chamber)
 
     def check_chamber(self, chamber: Chamber) -> Chamber:
         u, v = chamber
@@ -323,7 +320,7 @@ def graph_metrics(g: ChamberGraph) -> dict:
     valences = [len(a) for a in g.adj]
     return {
         "vertices": g.num_vertices,
-        "edges": len(g.edges()),
+        "edges": sum(valences) // 2,
         "girth": girth(g),
         "diameter": diameter,
         "valence_min": min(valences),
@@ -739,7 +736,7 @@ def _witness_geometry(n: int, key: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _ensure_leg(g: ChamberGraph, eta: int, target: int, r: int) -> None:
     """Make d(eta, target) == r by a fresh path when currently larger."""
-    d = g.distance(eta, target)
+    d = g.distances(eta, limit=r)[target]
     if d == r:
         return
     if d is not None and d < r:

@@ -150,7 +150,7 @@ def test_add_path_types_and_parity():
     new = g.add_path(u, v, 3)
     assert len(new) == 2
     assert [g.types[x] for x in new] == [2, 1]
-    assert g.distance(u, v) == 3
+    assert g.distances(u)[v] == 3
     with pytest.raises(InvalidParameterError):
         g.add_path(u, v, 2)  # parity mismatch
     with pytest.raises(InvalidParameterError):
@@ -171,6 +171,74 @@ def test_add_path_refuses_short_cycle():
 def test_girth_matches_all_source_reference(g):
     assert girth(g) == girth_reference(g)
     assert all(a == sorted(a) for a in g.adj)
+
+
+def distances_reference(g, src):
+    """Single-source BFS over a deque: the reference table for ``distances``."""
+    dist = [None] * g.num_vertices
+    dist[src] = 0
+    queue = collections.deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def shortest_path_reference(g, u, v):
+    """BFS from u with parent links, scanning sorted adjacency in order."""
+    parent = {u: -1}
+    queue = collections.deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            path = [v]
+            while parent[path[-1]] != -1:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for y in g.adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=bipartite_graphs())
+def test_distances_is_min_of_single_source_tables(data, g):
+    sources = data.draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=4))
+    limit = data.draw(st.none() | st.integers(0, 2 * g.n + 2))
+    tables = [distances_reference(g, s) for s in sources]
+    columns = zip(*tables) if tables else [()] * g.num_vertices
+    expect = [min((d for d in column if d is not None and (limit is None or d <= limit)),
+                  default=None) for column in columns]
+    assert g.distances(*sources, limit=limit) == expect
+    for chamber in g.edges():
+        assert g.chamber_distances(chamber) == g.distances(*chamber)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_shortest_path_is_a_geodesic(n):
+    g = bar_step(find_antipodal_tuple(ChamberGraph.apartment(n, seed=n), 3).graph)
+    # a separate component, so that some pairs are unreachable
+    a, b = g.add_vertex(1), g.add_vertex(2)
+    g.add_edge(a, b)
+    rng = random.Random(n)
+    pairs = [(a, b), (b, a), (a, 0), (0, b)]
+    pairs += [(rng.randrange(g.num_vertices), rng.randrange(g.num_vertices))
+              for _ in range(300)]
+    for u, v in pairs:
+        d = g.distances(u)[v]
+        path = g.shortest_path(u, v)
+        if d is None:
+            assert path is None
+            continue
+        assert path[0] == u and path[-1] == v and len(path) == d + 1
+        assert all(y in g.adj[x] for x, y in zip(path, path[1:]))
+        if d < n:
+            assert path == shortest_path_reference(g, u, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,10 +370,10 @@ def test_bar_step_shrinks_far_pair():
     g = ChamberGraph.apartment(n)
     pendant = g.add_vertex(2)
     g.add_edge(0, pendant)
-    assert g.distance(pendant, 3) == n + 1
+    assert g.distances(pendant)[3] == n + 1
     grown = bar_step(g)
     assert grown.log[-1]["joined_far"] >= 1
-    assert grown.distance(pendant, 3) == n - 1
+    assert grown.distances(pendant)[3] == n - 1
     assert girth(grown) == 2 * n
 
 

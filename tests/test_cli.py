@@ -207,6 +207,19 @@ def test_build_deterministic_and_metrical(tmp_path):
     assert graph.n == 3
 
 
+# Payload digests of ``build`` at seed 12345 for n = 4 and n = 5: the
+# determinism battery pins only n = 3, so these pin bar_step growth past it.
+@pytest.mark.parametrize("n, stages, pin", [
+    (4, 3, "f4ffe2846ffe65d74117ebd0a0657728e80c46545ad5f3f0c263808816018449"),
+    (5, 2, "dc180d0f49de3aa2f77ac9c9594995e9137852b15dd46da7ee2bb978dc0d8d60"),
+])
+def test_build_payload_pinned(tmp_path, n, stages, pin):
+    dest = tmp_path / "g.json"
+    run(tmp_path, "build", "--n", str(n), "--stages", str(stages),
+        "--seed", "12345", "--dest", str(dest))
+    assert digest(load(dest)["payload"]) == pin
+
+
 def test_build_seed_changes_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(tmp_path, "build", "--n", "4", "--stages", "1", "--seed", "1",
