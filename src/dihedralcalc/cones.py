@@ -27,6 +27,11 @@ from k to the vertices 0 and 1 along the 2n-gon (``vertex_chart``).
 Cosine decreases on [0, pi], so one row is entrywise <= another exactly
 when, slot by slot, its vertex is at least as far as the other's from both
 ends.
+
+A row's verdict over a target does not change under a slot permutation
+that maps the target's key set onto itself, so a cone comparison settles
+each orbit with one verdict.  ``slot_classes`` reads those slots off the
+key set; no generator declares them.
 """
 
 from __future__ import annotations
@@ -250,7 +255,6 @@ def gen_wti(n: int, m: int) -> InequalitySystem:
     sys = _dedup_system(n, m, tagged, {
         "system": "WTI",
         "count_nominal": 2 * n * comb(m, 2),
-        "symmetric_slots": tuple(range(m)),
     })
 
     # independent generation straight from vertex indices
@@ -281,7 +285,6 @@ def gen_sti(n: int, m: int) -> InequalitySystem:
     return _dedup_system(n, m, tagged, {
         "system": "STI",
         "sigma_count": len(tuples),
-        "symmetric_slots": tuple(range(m)),
     })
 
 
@@ -380,7 +383,6 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
         "system": f"{tag_system}:{kind}",
         "m": m,
         "kind": kind,
-        "symmetric_slots": tuple(range(m)),
         "dominance": "all slots assumed dominant; not inequality rows",
     })
 
@@ -395,7 +397,6 @@ def _merge_km(n: int, m: int, kinds: tuple[str, ...],
         "system": label,
         "m": m,
         "kind": label.split(":")[1],
-        "symmetric_slots": tuple(range(m)),
         "dominance": parts[0].meta["dominance"],
     })
 
@@ -431,10 +432,7 @@ def a1_product_system(m: int = 3) -> InequalitySystem:
             words = tuple(IDENTITY for _ in range(m))
             tagged.append((tuple(key), InequalityTag("WTI", base + 1, words,
                                                      (i, (i + 1) % m))))
-    return _dedup_system(2, m, tagged, {
-        "system": "A1xA1",
-        "symmetric_slots": tuple(range(m)),
-    })
+    return _dedup_system(2, m, tagged, {"system": "A1xA1"})
 
 
 # -- membership ---------------------------------------------------------------
@@ -601,13 +599,30 @@ class ConeEqualityCertificate:
     counterexample: ImplicationEntry | None = None
 
 
-def _canon_key(key: tuple, sym: tuple) -> tuple:
-    if not sym:
-        return key
-    vals = sorted(key[s] for s in sym)
+def slot_classes(system: InequalitySystem) -> tuple[tuple[int, ...], ...]:
+    """The slot classes of size >= 2 under s ~ t: swapping slots s and t
+    maps the key set onto itself.  Since (i k) = (j k)(i j)(j k), ~ is an
+    equivalence, so each slot is tested against each class's first slot."""
+    keys = system.key_set
+    classes: list[list[int]] = []
+    for t in range(system.slots):
+        for cls in classes:
+            s = cls[0]
+            if all(k[:s] + (k[t],) + k[s + 1:t] + (k[s],) + k[t + 1:] in keys
+                   for k in keys):
+                cls.append(t)
+                break
+        else:
+            classes.append([t])
+    return tuple(tuple(c) for c in classes if len(c) > 1)
+
+
+def _canon_key(key: tuple, classes: tuple) -> tuple:
+    """The orbit representative: each class's values sorted in place."""
     out = list(key)
-    for v, s in zip(vals, sym):
-        out[s] = v
+    for cls in classes:
+        for s, v in zip(cls, sorted(key[s] for s in cls)):
+            out[s] = v
     return tuple(out)
 
 
@@ -642,11 +657,11 @@ def _implied_over(target: InequalitySystem,
 def _direction(
     source: InequalitySystem, target: InequalitySystem,
 ) -> tuple[list[ImplicationEntry], ImplicationEntry | None]:
-    sym = tuple(target.meta.get("symmetric_slots") or ())
+    classes = slot_classes(target)
     reps: dict[tuple, tuple] = {}
     entries = []
     for q in source.inequalities:
-        rep = _canon_key(q.key, sym)
+        rep = _canon_key(q.key, classes)
         if rep in reps:
             entries.append(ImplicationEntry(q, reps[rep][0], "orbit",
                                             via=rep))
@@ -666,11 +681,12 @@ def cone_equal(sys_a: InequalitySystem,
                sys_b: InequalitySystem) -> ConeEqualityCertificate:
     """Mutual implication of two systems over the dominant region.
 
-    Symmetric-slot metadata of the target side reduces each direction to
-    orbit representatives; every representative is settled by duplicate
-    lookup, entrywise domination, or an exact LP.  A target system
-    remembers the verdicts asked of it, so comparing several systems
-    against one target object solves each LP once.
+    Each direction reduces the source rows to orbit representatives under
+    the target's ``slot_classes``, which are read off its key set; every
+    representative is settled by duplicate lookup, entrywise domination,
+    or an exact LP.  A target system remembers the verdicts asked of it,
+    so comparing several systems against one target object solves each
+    LP once.
     """
     if sys_a.n != sys_b.n or sys_a.slots != sys_b.slots:
         raise InvalidParameterError("systems are not comparable")
@@ -715,8 +731,7 @@ def system_to_json(system: InequalitySystem) -> dict:
         "n": system.n,
         "m": system.slots,
         "field": descr.to_json(),
-        "meta": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in system.meta.items()},
+        "meta": dict(system.meta),
         "inequalities": [q.to_json(descr) for q in system.inequalities],
     }
 

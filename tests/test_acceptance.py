@@ -90,13 +90,13 @@ BATTERY_PINS = {
     "bi4.json":
         "79d779a05e9a9e915cbdf74766a1ae8bd7ffbeb09b0b54ba7041583562d9d0aa",
     "wti33.json":
-        "1cb7216b781ae9bbf7b80c1eef2aeade1919d15699581c2efef134209f8ae1fb",
+        "eae747a0b61f697de9b3ba0c7c493e5f8b5524403a601839892982cd9b78a26f",
     "sti33.json":
-        "fa2dc156201b42c0c1f077a9f7b6f550cf8f1bc9eb168b3a23b54c6059460bc2",
+        "7ffecc337969abcd8207db869c9d3dfc6b61cce2e7f051161057a1b81e1ca19b",
     "km33.json":
-        "13b429d5a1a1eb0bff80cdc7db6c577533966a0c3d09db49b014a92f6c44834c",
+        "6490045eed0603c282cb968c751da4ebbf97ea83b509e64defd32ca5edf1540f",
     "bk43.json":
-        "bbd3e729c6a0a11322e64f952db3e94a5b660a3fc4a8f07d21c221233dd5dbb9",
+        "6544eeff9412087ff75ec720e60d892d922b3e372454f6803ec32ac8b06fca9a",
     "wti43.tex":
         "79a5ec0dc8361a381188dbe85192348a39f1efa7502853d8cda3bcd72214adcc",
     "audit33.json":

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc import cones, lp
 from dihedralcalc.cones import (
-    AuditReport, DominantWeight, InequalitySystem, LinearInequality,
-    a1_product_system, antipode, audit_to_json, cone_equal,
+    AuditReport, DominantWeight, InequalitySystem, InequalityTag,
+    LinearInequality, a1_product_system, antipode, audit_to_json, cone_equal,
     embed_small, equality_to_json, evaluate_point, gen_km,
     gen_sti, gen_wti, inequality_row, is_member, lp_optimize, pairing_columns,
-    redundancy_audit, row_values, small_field, system_to_json,
+    redundancy_audit, row_values, slot_classes, small_field, system_to_json,
     system_to_latex, theta_system, vertex_cartesian, vertex_chart, w0_index,
     witness_to_json,
 )
@@ -215,10 +215,80 @@ def test_km_theta_identities(n, m):
 def test_km_slots_and_tags():
     sys = gen_km(3, 2, "at")
     assert sys.slots == 3
-    assert sys.meta["symmetric_slots"] == (0, 1)
+    # the lambda slots are interchangeable; mu (slot 2) is not
+    assert slot_classes(sys) == ((0, 1),)
     for q in sys.inequalities:
         assert q.tag.system == "KM"
         assert len(q.tag.words) == 3
+
+
+@functools.lru_cache(maxsize=None)
+def _source_keys(source, n, slots):
+    if source == "WTI":
+        system = gen_wti(n, slots)
+    elif source == "STI":
+        system = gen_sti(n, slots)
+    else:
+        system = theta_system(gen_km(n, slots - 1, source.split(":")[1]))
+    return tuple(sorted(system.key_set))
+
+
+def _keyed_system(n, slots, keys):
+    tag = InequalityTag("WTI", 1, ())
+    return InequalitySystem(n, slots,
+                            [LinearInequality(k, tag) for k in sorted(keys)])
+
+
+def _permuted(keys, perm):
+    return {tuple(k[p] for p in perm) for k in keys}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       source=st.sampled_from(["WTI", "STI", "KM:at", "KM:b"]),
+       n=st.integers(2, 4), slots=st.integers(2, 5))
+def test_slot_classes_sound_and_maximal(data, source, n, slots):
+    keys = _source_keys(source, n, slots)
+    chosen = set(data.draw(st.sets(st.sampled_from(keys), max_size=len(keys))
+                           | st.just(set(keys))))
+    # closing under a few swaps gives the subsets symmetry to find; the
+    # swaps keep the key set of the source, so the result stays a subset
+    movable = slots - 1 if source == "KM:b" else slots
+    swaps = data.draw(st.lists(st.tuples(st.integers(0, movable - 1),
+                                         st.integers(0, movable - 1)),
+                               max_size=3))
+    grown = None
+    while grown != chosen:
+        grown = set(chosen)
+        for s, t in swaps:
+            perm = list(range(slots))
+            perm[s], perm[t] = t, s
+            chosen |= _permuted(grown, perm)
+    assert chosen <= set(keys)
+
+    classes = slot_classes(_keyed_system(n, slots, chosen))
+    members = [s for cls in classes for s in cls]
+    assert len(members) == len(set(members))
+    assert all(len(cls) >= 2 and list(cls) == sorted(cls) for cls in classes)
+    cls_of = {s: cls for cls in classes for s in cls}
+    for perm in itertools.permutations(range(slots)):
+        # soundness: every permutation inside the classes keeps the key set
+        if all(perm[s] in cls_of.get(s, (s,)) for s in range(slots)):
+            assert _permuted(chosen, perm) == chosen, (classes, perm)
+    for s, t in itertools.combinations(range(slots), 2):
+        # maximality: every swap that keeps the key set stays in a class
+        perm = list(range(slots))
+        perm[s], perm[t] = t, s
+        if _permuted(chosen, perm) == chosen:
+            assert t in cls_of.get(s, ()), (classes, s, t)
+
+
+@pytest.mark.parametrize("slots", range(2, 6))
+def test_slot_classes_of_empty_and_single_key_sets(slots):
+    assert slot_classes(_keyed_system(3, slots, [])) == (tuple(range(slots)),)
+    key = (0,) + (1,) * (slots - 1)
+    want = (tuple(range(1, slots)),) if slots > 2 else ()
+    assert slot_classes(_keyed_system(3, slots, [key])) == want
 
 
 def test_km_bk_variant_uses_grassmannian_type():
@@ -426,13 +496,20 @@ def test_cone_equal_uses_shortcuts():
     assert "duplicate" in methods and "orbit" in methods
 
 
-def test_cone_equal_detects_strictly_smaller_system():
+@pytest.mark.parametrize("idx", range(12))
+def test_cone_equal_detects_strictly_smaller_system(idx):
+    # every row of WTI(3,3) is a facet, so dropping any one leaves a
+    # strictly larger cone; the copied meta must not make the sub-system
+    # look as symmetric as the full one
     sys = gen_wti(3, 3)
-    sub = InequalitySystem(3, 3, sys.inequalities[1:], dict(sys.meta))
+    assert len(sys.inequalities) == 12
+    dropped = sys.inequalities[idx]
+    sub = InequalitySystem(3, 3, sys.inequalities[:idx]
+                           + sys.inequalities[idx + 1:], dict(sys.meta))
     cert = cone_equal(sys, sub)
     assert not cert.equal
     bad = cert.counterexample
-    assert bad is not None and bad.inequality.key == sys.inequalities[0].key
+    assert bad is not None and bad.inequality.key == dropped.key
     # the witness satisfies the sub-system but violates the dropped row
     assert evaluate_point(sub, bad.witness).member
     assert not evaluate_point(sys, bad.witness).member
@@ -528,9 +605,16 @@ def _oracle_verdict(target, key):
     return None
 
 
-def _check_against_oracle(entries, target):
+def _check_against_oracle(entries, target, orbits):
+    # with orbits, each orbit entry must carry the status that its own key
+    # gets on a copy of the target that has answered nothing yet
+    fresh = InequalitySystem(target.n, target.slots,
+                             list(target.inequalities), dict(target.meta))
     for e in entries:
         if e.method == "orbit":
+            if orbits:
+                status = cones._implied_over(fresh, e.inequality.key)[0]
+                assert e.status == status, e
             continue
         want = _oracle_verdict(target, e.via or e.inequality.key)
         if want is None:
@@ -551,8 +635,10 @@ def test_cone_equal_methods_match_exact_domination(n, m):
     for a, b in pairs:
         cert = cone_equal(a, b)
         assert cert.equal
-        _check_against_oracle(cert.forward, b)
-        _check_against_oracle(cert.backward, a)
+        # re-deciding orbit entries on a fresh target can take an LP
+        # each, so it runs for n <= 4 only
+        _check_against_oracle(cert.forward, b, orbits=n <= 4)
+        _check_against_oracle(cert.backward, a, orbits=n <= 4)
 
 
 def test_chart_rule_matches_exact_column_comparison():
