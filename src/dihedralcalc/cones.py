@@ -18,8 +18,12 @@ witnesses into the ambient coefficient field.
 
 Every LP of a system runs over the same matrix, so a system builds it once:
 ``dual_matrix`` caches the negated, transposed rows that ``lp_optimize``
-solves over, and the facet audit drops one column of that cache per row
-instead of building a matrix for each sub-system.
+solves over, and ``dual_image`` caches their float image, each entry with
+a proven error bound (``lp.float_image``).  The facet audit drops one
+column of both caches per row instead of building them for each
+sub-system.  Both row checks of an LP, the solver's y.A >= c and
+``evaluate_point``'s, sign each row product in floats where that image
+proves the sign (``field.dot_sign``) and exactly everywhere else.
 
 Entrywise domination needs no field arithmetic.  The entries of vertex k
 are cos(d1*pi/n) and cos(d2*pi/n), where d1, d2 <= n are the distances
@@ -30,8 +34,12 @@ ends.
 
 A row's verdict over a target does not change under a slot permutation
 that maps the target's key set onto itself, so a cone comparison settles
-each orbit with one verdict.  ``slot_classes`` reads those slots off the
-key set; no generator declares them.
+each orbit with one verdict, and the facet audit solves one LP per orbit
+of its own rows (Bodi, Herr & Joswig, "Algorithms for highly symmetric
+linear and integer programs", Math. Program. 2013).  ``slot_classes``
+reads those slots off the key set; no generator declares them.  An orbit
+member's audit witness is the representative's LP vertex with the slots
+permuted, checked against the member's row as an LP vertex is.
 """
 
 from __future__ import annotations
@@ -45,10 +53,10 @@ from typing import Iterable, Sequence
 
 from .algebra import AlgebraContext, Element, _label
 from .errors import DomainError, InvalidParameterError, VerificationError
-from .field import (FieldDescriptor, FieldElement, dot, field_init,
-                    real_cyclotomic)
+from .field import (FieldDescriptor, FieldElement, approx_vector, dot,
+                    dot_sign, field_init, real_cyclotomic)
 from .filtration import ConcaveWeighting, gr_product
-from .lp import lp_solve
+from .lp import float_image, lp_solve
 from .prering import enumerate_sigma
 from .weyl import IDENTITY, DihedralGroup, WeylElement
 
@@ -172,13 +180,18 @@ class InequalitySystem:
     # key -> _implied_over verdict with this system as the target
     _verdicts: dict = dc_field(default_factory=dict, repr=False,
                                compare=False)
-    # dual LP matrix of lp_optimize; never shared, since it depends on the
-    # inequality list
+    # dual LP matrix of lp_optimize and its float image; never shared,
+    # since they depend on the inequality list
     _dual: list | None = dc_field(default=None, repr=False, compare=False)
+    _image: tuple | None = dc_field(default=None, repr=False, compare=False)
+    _keys: frozenset | None = dc_field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def key_set(self) -> frozenset:
-        return frozenset(q.key for q in self.inequalities)
+        if self._keys is None:
+            self._keys = frozenset(q.key for q in self.inequalities)
+        return self._keys
 
     def row(self, key: tuple[int, ...]) -> tuple:
         return inequality_row(self.n, key)
@@ -199,13 +212,24 @@ class InequalitySystem:
                           for c in range(2 * self.slots)]
         return self._dual
 
+    def dual_image(self) -> tuple[list, list]:
+        """``lp.float_image`` of the dual matrix, built on the first LP or
+        membership test: (values, errors) in the matrix's shape."""
+        if self._image is None:
+            self._image = float_image(self.dual_matrix())
+        return self._image
+
     def without(self, idx: int) -> InequalitySystem:
-        """The system minus its idx-th inequality; its dual matrix is this
-        one's with column idx dropped."""
+        """The system minus its idx-th inequality; its dual matrix and float
+        image are this one's with column idx dropped."""
+        def drop(matrix):
+            return [col[:idx] + col[idx + 1:] for col in matrix]
+
+        vals, errs = self.dual_image()
         return InequalitySystem(
             self.n, self.slots,
             self.inequalities[:idx] + self.inequalities[idx + 1:], self.meta,
-            _dual=[col[:idx] + col[idx + 1:] for col in self.dual_matrix()])
+            _dual=drop(self.dual_matrix()), _image=(drop(vals), drop(errs)))
 
 
 def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
@@ -488,12 +512,23 @@ def is_member(system: InequalitySystem, weights: Sequence[DominantWeight]) -> Me
 
 
 def evaluate_point(system: InequalitySystem, pairs: list) -> MembershipResult:
-    """Membership for small-field coordinate pairs (internal form)."""
+    """Membership for small-field coordinate pairs (internal form).
+
+    Column q of the dual matrix is minus row q, so row q holds at the point
+    z exactly when z.column >= 0.  ``dot_sign`` signs that product in
+    floats where the system's float image proves the sign, else exactly;
+    the first violated row is returned with its exact value.
+    """
     zero = small_field(system.n).zero
-    for q in system.inequalities:
-        val = _eval_row(system.row(q.key), pairs)
-        if val > zero:
-            return MembershipResult(False, q, val)
+    z = list(itertools.chain.from_iterable(pairs))
+    z_image = approx_vector(z)
+    vals, errs = system.dual_image()
+    for q, col, col_vals, col_errs in zip(
+            system.inequalities, zip(*system.dual_matrix()), zip(*vals),
+            zip(*errs)):
+        if dot_sign(col, z, zero, (col_vals, col_errs), z_image) < 0:
+            return MembershipResult(False, q, _eval_row(system.row(q.key),
+                                                        pairs))
     return MembershipResult(True)
 
 
@@ -520,11 +555,11 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     fld = small_field(system.n)
     zero, one = fld.zero, fld.one
     obj = [c + zero for c in row]
-    g = system.dual_matrix()
     rhs = [-c for c in obj]
     cost = [zero] * len(system.inequalities) + [-one, one]
 
-    res = lp_solve(g, rhs, cost, zero=zero)
+    res = lp_solve(system.dual_matrix(), rhs, cost, zero=zero,
+                   approx=system.dual_image())
     if res.status != "optimal":
         # the section is bounded, so by duality an unbounded or infeasible
         # dual means an empty section
@@ -533,15 +568,25 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     optimum = -res.optimum
     z = res.dual
     witness = [(z[2 * s], z[2 * s + 1]) for s in range(system.slots)]
-    if any(v < zero for v in z):
+    _check_vertex(system, witness, obj, optimum)
+    return ConeLPResult("optimal", optimum, witness)
+
+
+def _check_vertex(system: InequalitySystem, witness: list, row: Sequence,
+                  value: FieldElement) -> None:
+    """Raise VerificationError unless the (a, b) pairs lie on the section
+    (nonnegative, summing to 1), satisfy every row of the system, and give
+    ``row`` the value ``value``."""
+    fld = small_field(system.n)
+    z = list(itertools.chain.from_iterable(witness))
+    if any(v < fld.zero for v in z):
         raise VerificationError("vertex has a negative coordinate")
-    if sum(z, zero) != one:
+    if sum(z, fld.zero) != fld.one:
         raise VerificationError("vertex normalization is off")
     if not evaluate_point(system, witness).member:
         raise VerificationError("vertex violates a cone constraint")
-    if _eval_row(obj, witness) != optimum:
+    if _eval_row(row, witness) != value:
         raise VerificationError("vertex does not attain the LP optimum")
-    return ConeLPResult("optimal", optimum, witness)
 
 
 # -- redundancy audit ---------------------------------------------------------
@@ -567,16 +612,41 @@ class AuditReport:
 
 
 def redundancy_audit(system: InequalitySystem) -> AuditReport:
-    """Classify every inequality as facet-defining or implied by the rest."""
+    """Classify every inequality as facet-defining or implied by the rest.
+
+    Row q is a facet when maximizing it over the other rows' cone section
+    gives a positive optimum.  A slot permutation within the classes of
+    ``slot_classes`` maps the system onto itself, so one LP per orbit
+    representative (``_canon_key``) settles the whole orbit.  Every other
+    member takes the representative's status, and its witness is the
+    representative's vertex with each class's slots permuted onto the
+    member's, checked by ``lp_optimize``'s vertex check against the system
+    without the member: a wrong symmetry raises VerificationError there.
+    """
     zero = small_field(system.n).zero
+    classes = slot_classes(system)
+    index = {q.key: idx for idx, q in enumerate(system.inequalities)}
+    solved: dict[tuple, ConeLPResult] = {}
     entries = []
     for idx, q in enumerate(system.inequalities):
-        res = lp_optimize(system.without(idx), system.row(q.key))
+        rep = _canon_key(q.key, classes)
+        res = solved.get(rep)
+        if res is None:
+            if rep not in index:
+                raise VerificationError(
+                    f"orbit representative {rep} of {q.key} is not a row")
+            res = lp_optimize(system.without(index[rep]), system.row(rep))
+            solved[rep] = res
         if res.status != "optimal":
             entries.append(AuditEntry(q, "redundant", None))
             continue
+        witness = res.witness
+        if rep != q.key:
+            witness = _permuted(witness, q.key, classes)
+            _check_vertex(system.without(idx), witness, system.row(q.key),
+                          res.optimum)
         status = "facet" if res.optimum > zero else "redundant"
-        entries.append(AuditEntry(q, status, res.witness))
+        entries.append(AuditEntry(q, status, witness))
     return AuditReport(entries)
 
 
@@ -624,6 +694,18 @@ def _canon_key(key: tuple, classes: tuple) -> tuple:
         for s, v in zip(cls, sorted(key[s] for s in cls)):
             out[s] = v
     return tuple(out)
+
+
+def _permuted(witness: list, key: tuple, classes: tuple) -> list:
+    """The per-slot witness of _canon_key(key) moved onto key's slots:
+    within a class, the slot holding the i-th smallest value of key gets
+    the pair of the class's i-th slot, where the representative holds that
+    value."""
+    out = list(witness)
+    for cls in classes:
+        for s, t in zip(cls, sorted(cls, key=key.__getitem__)):
+            out[t] = witness[s]
+    return out
 
 
 def _dominated_by(chart: tuple, key: tuple, other: tuple) -> bool:

@@ -14,13 +14,19 @@ Elements are coefficient vectors over the power basis 1, theta, ...,
 theta**(degree-1), reduced modulo the minimal polynomial of theta and
 stored as integer numerators over one common positive denominator.  Signs
 are decided exactly: zero by coefficient comparison, nonzero by a float
-estimate confirmed through interval arithmetic at increasing precision.
+estimate whose proven rounding bound it clears, or else through interval
+arithmetic at increasing precision.  ``approx`` gives an element's float
+with that bound, and ``dot_sign`` signs a dot product in floats wherever
+the bound of ``float_dot`` proves the sign, and exactly everywhere else
+(a floating-point filter, as in Bronnimann, Burnikel & Pion,
+"Interval arithmetic yields efficient dynamic filters for computational
+geometry", Discrete Appl. Math. 2001).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm, ldexp, nan
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -28,6 +34,8 @@ import mpmath
 from .errors import InvalidParameterError, UnsupportedModeError, VerificationError
 
 Rational = Union[int, Fraction]
+
+_U = 2.0 ** -53  # unit roundoff of IEEE double precision
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +160,11 @@ class FieldDescriptor:
         else:
             self.theta = FieldElement(self, (-self.min_poly[0],))
         self._theta_float = self._compute_theta_float()
+        # a float evaluation of a degree-d polynomial at theta is off by at
+        # most _float_rel * (its sum of absolute terms) + _float_eta, the
+        # latter for underflow; see approx
+        self._float_rel = 4 * (self.degree + 2) * _U
+        self._float_eta = ldexp(1.0, self.degree - 1070)
         self._two_cos_cache: dict[int, FieldElement] = {}
         self._t_numbers: list[FieldElement] = []
         self._q_numbers: list[FieldElement] = []
@@ -509,16 +522,19 @@ class FieldElement:
         num = self.num
         if self.descr.degree == 1:
             return 1 if num[0] > 0 else -1
-        # float fast path with a crude magnitude-based error margin
+        # float fast path; the margin is approx's proven bound for den = 1,
+        # without its underflow term: no term underflows, since |c| >= 1 and
+        # theta = 2cos(2pi/N) > 0.6 once the degree is 2 or more
         try:
-            th = self.descr._theta_float
+            descr = self.descr
+            th = descr._theta_float
             val, mag, p = 0.0, 0.0, 1.0
             for c in num:
                 cf = float(c)
                 val += cf * p
                 mag += abs(cf) * abs(p)
                 p *= th
-            if abs(val) > 1e-9 * (mag + 1.0):
+            if abs(val) > descr._float_rel * mag:
                 return 1 if val > 0 else -1
         except OverflowError:
             pass
@@ -545,14 +561,7 @@ class FieldElement:
         return any(self.num)
 
     def __float__(self) -> float:
-        # int / int rounds the exact quotient, as float(Fraction) does
-        th = self.descr._theta_float
-        den = self.den
-        val, p = 0.0, 1.0
-        for c in self.num:
-            val += c / den * p
-            p *= th
-        return val
+        return approx(self)[0]
 
     # -- comparisons ------------------------------------------------------------
 
@@ -608,6 +617,96 @@ def element_from_json(descr: FieldDescriptor, doc: Sequence[str]) -> FieldElemen
 def sign_of(e: FieldElement) -> int:
     """Exact sign (-1, 0, +1) of a field element under its real embedding."""
     return e.sign()
+
+
+def approx(value) -> tuple[float, float]:
+    """(f, r): a float f of a FieldElement, int or Fraction, and a bound
+    r >= |f - value|.
+
+    f sums c_i/den * theta~**i for i < d, the degree: each quotient c_i/den
+    is rounded once (Python rounds an int quotient correctly, as
+    float(Fraction) does), theta~ is theta rounded to a float from 30
+    mpmath digits, and its powers come by repeated multiplication.  A term
+    thus carries at most 3d - 2 roundings, so with u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1)
+
+        |f - value| <= gamma_{3d-2} * sum_i |c_i/den| * |theta|**i,
+        gamma_k = k u / (1 - k u),
+
+    and r = 4 (d + 2) u * mag, with mag the computed sum of the
+    |c_i/den * theta~**i|, covers it with room for the rounding of mag, of r
+    and of theta~ itself.  A quotient that underflows loses at most
+    2**-1075, times |theta|**i < 2**i, which r's 2**(d - 1070) covers.  An
+    int or Fraction is read as degree 1.  A value beyond the float range
+    gives (nan, inf), which no filter trusts.
+    """
+    try:
+        if value.__class__ is not FieldElement:
+            f = float(value)  # TypeError for a type without a float
+            return f, 12 * _U * abs(f) + ldexp(1.0, -1069)  # d = 1
+        descr = value.descr
+        th = descr._theta_float
+        den = value.den
+        val, mag, p = 0.0, 0.0, 1.0
+        for c in value.num:
+            t = c / den * p
+            val += t
+            mag += abs(t)
+            p *= th
+    except OverflowError:
+        return nan, inf
+    return val, descr._float_rel * mag + descr._float_eta
+
+
+def approx_vector(values: Iterable) -> tuple[list[float], list[float]]:
+    """(values, errors) of ``approx`` over a sequence: its float image."""
+    pairs = [approx(v) for v in values]
+    return [f for f, _ in pairs], [r for _, r in pairs]
+
+
+def float_dot(xv: Sequence[float], xe: Sequence[float],
+              yv: Sequence[float], ye: Sequence[float]) -> tuple[float, float]:
+    """(s, r): s the float sum of xv[i] * yv[i], and a bound r >= |s - S|
+    for S = sum X_i * Y_i over any X_i, Y_i with |X_i - xv[i]| <= xe[i]
+    and |Y_i - yv[i]| <= ye[i].
+
+    With k terms, u = 2**-53, x = xv, y = yv, dx = xe and dy = ye,
+
+        |s - S| <= gamma_k * sum |x_i y_i|                 (summation)
+                 + sum (|x_i| dy_i + dx_i |y_i| + dx_i dy_i)  (conversion)
+                 + k * 2**-1075                           (underflow)
+
+    by Higham section 3.1 for the float sum and, for the conversion,
+    X Y - x y = x (Y - y) + (X - x) y + (X - x)(Y - y), whose last term is
+    the cross term.  r is g * mag + (1 + g) * cross + (k + 1) * 2**-1070
+    with g = 2 (k + 4) u, where mag and cross are the computed sums of
+    nonnegative terms; the doubled g covers their rounding and r's own.  A
+    non-finite input gives a non-finite s or r.
+    """
+    s = mag = cross = 0.0
+    for x, dx, y, dy in zip(xv, xe, yv, ye):
+        s += x * y
+        x, y = abs(x), abs(y)
+        mag += x * y
+        cross += x * dy + dx * (y + dy)
+    k = len(xv)
+    g = 2 * (k + 4) * _U
+    return s, g * mag + (1.0 + g) * cross + ldexp(k + 1, -1070)
+
+
+def dot_sign(xs: Sequence, ys: Sequence, zero: FieldElement,
+             x_image: tuple, y_image: tuple) -> int:
+    """The sign of dot(xs, ys, zero), given the images (values, errors) of
+    xs and ys under ``approx``.
+
+    The sign is read off the float sum s of ``float_dot`` only where its
+    bound r proves it, that is r < |s| < inf; otherwise, non-finite values
+    included, the exact dot decides.
+    """
+    s, r = float_dot(*x_image, *y_image)
+    if r < abs(s) < inf:
+        return 1 if s > 0 else -1
+    return dot(xs, ys, zero).sign()
 
 
 def dot(xs: Iterable, ys: Iterable, zero: FieldElement) -> FieldElement:

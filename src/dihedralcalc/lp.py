@@ -1,23 +1,26 @@
 """Exact linear programming over an ordered field.
 
 A small two-phase tableau simplex used by the cone audits.  The value type
-is that of the ``zero`` the caller passes, such as Fraction(0) or a field's
-zero (anything with field operators and exact comparisons).  Bland's rule
-picks both the entering and the leaving variable, so the exact iteration
-cannot cycle.
+is that of the ``zero`` the caller passes: Fraction(0) or a field's zero.
+Bland's rule picks both the entering and the leaving variable, so the
+exact iteration cannot cycle.
 
 Solves  max c.x  subject to  A x <= b, x >= 0  and reports one of
 "optimal" (with a vertex witness and row multipliers), "unbounded", or
 "infeasible".
 
 The simplex first runs on Python floats, with the same rule and values
-within ``TOL`` of each other taken as ties.  When the float pass stops
-without an optimal basis, cannot convert an input to float, or its basis
-fails a check, the exact tableau solves from a cold start.  Either way the
-answer comes from one place: ``_certify`` solves the final basis system
-once in the field and checks that the basic solution is primal feasible
-(x_B >= 0) and dual feasible (y >= 0, y.A >= c; over a ``FieldElement``
-zero each column of y.A is one ``field.dot``).  A certified basis is
+within ``TOL`` of each other taken as ties.  Its matrix is the float image
+of A: ``float_image`` gives each entry's float and a proven bound on its
+error (``field.approx``).  A caller that solves many LPs over one matrix
+builds the image once and passes it as ``approx``.  When the float pass
+stops without an optimal basis or its basis fails a check, the exact
+tableau solves from a cold start.  Either way the answer comes from one
+place: ``_certify`` solves the final basis system once in the field and
+checks that the basic solution is primal feasible (x_B >= 0) and dual
+feasible (y >= 0, y.A >= c).  Over a field, each column of y.A >= c is
+signed by ``field.dot_sign``: in floats where the image's error bounds
+prove the sign, else by one exact ``field.dot``.  A certified basis is
 optimal by LP duality, so a wrong float answer costs time and never
 changes a result, and an exact basis that fails the check raises
 VerificationError (Applegate, Cook, Dash & Espinoza, "Exact solutions to
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidParameterError, VerificationError
-from .field import FieldElement, dot
+from .field import (FieldElement, approx as approx_value, approx_vector, dot,
+                    dot_sign)
 
 
 @dataclass
@@ -179,8 +183,8 @@ class _FloatTableau(_Tableau):
     """
 
     def __init__(self, rows, rhs, d):
-        super().__init__([[float(v) for v in row] for row in rows],
-                         [float(v) for v in rhs], d, 0.0, 1.0)
+        # rows are floats already (the image values); the copy is _Tableau's
+        super().__init__(rows, [float(v) for v in rhs], d, 0.0, 1.0)
         self.tol = TOL
         self.budget = 50 * (self.m + self.n_cols)
 
@@ -191,7 +195,8 @@ class _FloatTableau(_Tableau):
 
 
 def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
-    """The final basis and pivot count of the float simplex, if optimal.
+    """The final basis and pivot count of the float simplex over the float
+    rows, if optimal.
 
     A basis column j < len(objective) is structural, j - len(objective) a
     slack.  None when the pass is infeasible or unbounded, cannot convert
@@ -199,7 +204,7 @@ def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
     """
     try:
         t = _FloatTableau(rows, rhs, len(objective))
-        status = t.solve([float(c) for c in objective])
+        status = t.solve([float(c) if c else 0.0 for c in objective])
     except (ArithmeticError, TypeError):
         return None
     if status != "optimal":
@@ -207,16 +212,19 @@ def _float_basis(rows, rhs, objective) -> tuple[list[int], int] | None:
     return t.basis, t.iterations
 
 
-def _certify(rows, rhs, cvec, basis, zero, one) -> tuple[list, list] | None:
+def _certify(rows, rhs, cvec, basis, zero, one,
+             image) -> tuple[list, list] | None:
     """(x, y) of the basis over [A | I] if it is exactly optimal, else None.
 
     Every optimal LPResult is built from this output, for float and exact
     bases alike.  x is the basic solution on the structural columns and
     y = c_B B^-1 the row multipliers.  The checks are that B is nonsingular,
     x_B >= 0, y >= 0 (slack reduced costs) and y.A >= c (structural reduced
-    costs).  A basic slack is a unit column of B, so only the square block K
-    of the basic structural columns J on the rows R whose slack is nonbasic
-    needs solving: K x_J = b_R and y_R K = c_J, with y = 0 off R.
+    costs), each column of the last as the sign of (y, -1).(A_j, c_j) over
+    ``image``, the float image of the rows.  A basic slack is a unit column
+    of B, so only the square block K of the basic structural columns J on
+    the rows R whose slack is nonbasic needs solving: K x_J = b_R and
+    y_R K = c_J, with y = 0 off R.
     """
     m, d = len(rows), len(cvec)
     cols = [j for j in basis if j < d]
@@ -271,17 +279,32 @@ def _certify(rows, rhs, cvec, basis, zero, one) -> tuple[list, list] | None:
     if any(v < zero for v in y):
         return None
     basic = set(cols)
-    support = [(yi, row) for yi, row in zip(y, rows) if yi]
-    ys = [yi for yi, _ in support]
+    support = [i for i in range(m) if y[i]]
+    ys = [y[i] for i in support] + [-one]
+    y_image = approx_vector(ys)
+    vals, errs = image
     for j in range(d):
-        if j not in basic and \
-                _dot(ys, [row[j] for _, row in support], zero) < cvec[j]:
+        if j in basic:
+            continue
+        c = cvec[j]
+        cf, ce = approx_value(c) if c else (0.0, 0.0)
+        col = [rows[i][j] for i in support] + [c]
+        col_image = ([vals[i][j] for i in support] + [cf],
+                     [errs[i][j] for i in support] + [ce])
+        if _dot_sign(ys, col, zero, y_image, col_image) < 0:
             return None
     return x, y
 
 
+def float_image(rows: Sequence[Sequence]) -> tuple[list, list]:
+    """(values, errors): ``field.approx`` of every entry of a matrix, as
+    two matrices of its shape; the ``approx`` argument of ``lp_solve``."""
+    images = [approx_vector(row) for row in rows]
+    return [v for v, _ in images], [e for _, e in images]
+
+
 def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
-             *, zero) -> LPResult:
+             *, zero, approx: tuple | None = None) -> LPResult:
     """Exact simplex for  max c.x  s.t.  rows[i].x <= rhs[i], x >= 0.
 
     The dual list contains one multiplier per constraint row, normalized for
@@ -290,6 +313,9 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     came from the float pass or the exact cold start, and ``iterations``
     counts the pivots of the pass whose basis is returned.  Raises
     VerificationError if an exact optimal basis fails its certificate.
+
+    ``approx`` is ``float_image(rows)``, which is computed when it is not
+    given; a caller that solves over one matrix many times passes it.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -302,23 +328,34 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     kind = zero.__class__  # values of zero's type need no coercion
     cvec = [c if c.__class__ is kind else c + zero for c in objective]
 
-    found = _float_basis(rows, rhs, cvec)
+    if approx is None:
+        approx = float_image(rows)
+    found = _float_basis(approx[0], rhs, cvec)
     certified = None
     if found is not None:
         basis, pivots = found
-        certified = _certify(rows, rhs, cvec, basis, zero, one)
+        certified = _certify(rows, rhs, cvec, basis, zero, one, approx)
     if certified is None:
         t = _Tableau(rows, rhs, d, zero, one)
         status = t.solve(cvec)
         if status != "optimal":
             return LPResult(status, iterations=t.iterations)
         pivots = t.iterations
-        certified = _certify(rows, rhs, cvec, t.basis, zero, one)
+        certified = _certify(rows, rhs, cvec, t.basis, zero, one, approx)
         if certified is None:
             raise VerificationError(
                 "exact simplex basis failed its optimality check")
     x, dual = certified
     return LPResult("optimal", _dot(cvec, x, zero), x, dual, pivots)
+
+
+def _dot_sign(xs, ys, zero, x_image, y_image) -> int:
+    """The sign of sum(x * y): ``field.dot_sign``, which tries the float
+    images first, over a field; the exact sum for Fraction."""
+    if isinstance(zero, FieldElement):
+        return dot_sign(xs, ys, zero, x_image, y_image)
+    total = _dot(xs, ys, zero)
+    return (total > zero) - (total < zero)
 
 
 def _dot(xs, ys, zero):

@@ -575,22 +575,33 @@ def _rest(system, idx):
                                   lambda: gen_wti(4, 4)])
 def test_audit_drops_one_column_of_the_cached_matrix(monkeypatch, make):
     system = make()
-    given_matrices = []
+    asked = []
 
     def recording(sub, row):
-        given_matrices.append(sub._dual)
+        asked.append((sub, row))
         return lp_optimize(sub, row)
 
     monkeypatch.setattr(cones, "lp_optimize", recording)
     redundancy_audit(system)
-    assert len(given_matrices) == len(system.inequalities)
-    for idx, matrices in enumerate(given_matrices):
-        fresh = _rest(system, idx)
-        assert fresh._dual is None  # a fresh system inherits no matrix
-        assert matrices == fresh.dual_matrix()
-    # the audit leaves the parent's own matrix whole
-    assert system.dual_matrix() == _rest(system, len(system.inequalities)
-                                         ).dual_matrix()
+    keys = [q.key for q in system.inequalities]
+    # one LP per orbit representative, each over the system without it
+    classes = slot_classes(system)
+    reps = {cones._canon_key(k, classes) for k in keys}
+    assert len(asked) == len(reps) < len(keys)
+    dropped = []
+    for sub, row in asked:
+        (key,) = set(keys) - sub.key_set
+        dropped.append(key)
+        assert row == system.row(key)
+        fresh = _rest(system, keys.index(key))
+        assert fresh._dual is None and fresh._image is None  # no inheritance
+        assert sub._dual == fresh.dual_matrix()
+        assert sub._image == fresh.dual_image()
+    assert set(dropped) == reps
+    # the audit leaves the parent's own matrix and image whole
+    whole = _rest(system, len(keys))
+    assert system.dual_matrix() == whole.dual_matrix()
+    assert system.dual_image() == whole.dual_image()
 
 
 def _oracle_verdict(target, key):
@@ -698,47 +709,86 @@ def test_coherence_by_sampling():
 
 # -- facet witnesses --------------------------------------------------------------
 
-def _audit_witnesses(n, m):
-    """Each audit entry with every row's value at the regular point (1, 1)
-    per slot and at the entry's LP vertex, keyed by row."""
-    sys = gen_wti(n, m)
-    one = small_field(n).one
-    regular = [(one, one)] * m
+def _row_values(system, pairs):
+    return {q.key: cones._eval_row(system.row(q.key), pairs)
+            for q in system.inequalities}
 
-    def values(pairs):
-        return {q.key: cones._eval_row(sys.row(q.key), pairs)
-                for q in sys.inequalities}
 
-    for entry in redundancy_audit(sys).entries:
-        yield entry, values(regular), values(entry.witness)
+def _assert_tight_exactly_once(system, entry):
+    """The audit's vertex z certifies row q as a facet: q(z) > 0 and every
+    other row holds at z, so on the segment from the regular point p (all
+    rows strict) to z the point where q vanishes is tight on q alone."""
+    zero, one = small_field(system.n).zero, small_field(system.n).one
+    at_p = _row_values(system, [(one, one)] * system.slots)
+    at_z = _row_values(system, entry.witness)
+    key = entry.inequality.key
+    qp, qz = at_p[key], at_z[key]
+    assert qp < zero < qz
+    for other, v in at_p.items():
+        tight = v * qz - at_z[other] * qp  # (qz - qp) * row(x_q)
+        if other == key:
+            assert not tight
+        else:
+            assert tight < zero
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (5, 4)])
 def test_facet_witness_tight_exactly_once(n, m):
-    # the audit's LP vertex z certifies row q as a facet: q(z) > 0 and every
-    # other row holds at z, so on the segment from the regular point p (all
-    # rows strict) to z the point where q vanishes is tight on q alone
-    zero = small_field(n).zero
-    for entry, at_p, at_z in _audit_witnesses(n, m):
+    sys = gen_wti(n, m)
+    for entry in redundancy_audit(sys).entries:
         assert entry.status == "facet"
-        key = entry.inequality.key
-        qp, qz = at_p[key], at_z[key]
-        assert qp < zero < qz
-        for other, v in at_p.items():
-            tight = v * qz - at_z[other] * qp  # (qz - qp) * row(x_q)
-            if other == key:
-                assert not tight
-            else:
-                assert tight < zero
+        _assert_tight_exactly_once(sys, entry)
 
 
 def test_facet_witness_needs_three_slots():
     # with two slots the cone is flat (the regular point is on its boundary)
     # and no row has a point where it alone is tight: the audit finds none
-    zero = small_field(3).zero
-    for entry, at_p, _ in _audit_witnesses(3, 2):
-        assert entry.status == "redundant"
-    assert any(v == zero for v in at_p.values())
+    sys = gen_wti(3, 2)
+    one = small_field(3).one
+    assert all(e.status == "redundant" for e in redundancy_audit(sys).entries)
+    assert not all(_row_values(sys, [(one, one)] * 2).values())
+
+
+def _per_row_statuses(system):
+    """The audit without orbits: one LP per row over the other rows."""
+    zero = small_field(system.n).zero
+    out = []
+    for idx, q in enumerate(system.inequalities):
+        res = lp_optimize(system.without(idx), system.row(q.key))
+        out.append("facet" if res.status == "optimal" and res.optimum > zero
+                   else "redundant")
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", (3, 4))
+@pytest.mark.parametrize("make", [
+    gen_wti, gen_sti, lambda n, m: gen_km(n, m, "b"),
+    lambda n, m: theta_system(gen_km(n, m, "at"))],
+    ids=["wti", "sti", "km-b", "theta-km-at"])
+def test_orbit_audit_matches_per_row_lps(n, m, make):
+    # one LP per orbit gives every row the status its own LP gives, and
+    # every permuted facet vertex is a facet certificate of its row
+    system = make(n, m)
+    report = redundancy_audit(system)
+    assert [e.status for e in report.entries] == _per_row_statuses(system)
+    for entry in report.entries:
+        if entry.status == "facet":
+            _assert_tight_exactly_once(system, entry)
+
+
+def test_audit_rejects_a_wrong_slot_symmetry(monkeypatch):
+    # without row (4, 4, 0), WTI(3,3) keeps only slots 0 and 1 symmetric;
+    # claiming slot 2 too must fail a permuted vertex's check, not pass
+    # silently with a representative's status
+    system = gen_wti(3, 3)
+    assert slot_classes(system) == ((0, 1, 2),)
+    lopsided = InequalitySystem(3, 3, [q for q in system.inequalities
+                                       if q.key[2] != 0], dict(system.meta))
+    assert slot_classes(lopsided) == ((0, 1),)
+    monkeypatch.setattr(cones, "slot_classes", lambda s: ((0, 1, 2),))
+    with pytest.raises(VerificationError, match="violates a cone constraint"):
+        redundancy_audit(lopsided)
 
 
 # -- exports ----------------------------------------------------------------------

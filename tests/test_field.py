@@ -3,15 +3,22 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dihedralcalc import field
 from dihedralcalc.errors import InvalidParameterError, UnsupportedModeError
 from dihedralcalc.field import (
+    approx,
+    approx_vector,
     cyclotomic_polynomial,
     dot,
+    dot_sign,
     element_from_json,
     field_init,
+    float_dot,
     q_number,
     q_number_squared,
     real_cyclotomic,
@@ -391,6 +398,110 @@ def test_sign_matches_float_on_random_sample():
             assert sign_of(e) == (1 if f > 0 else -1)
         else:
             assert sign_of(e) == 0 or abs(f) <= 1e-12
+
+
+class _IntervalSpy:
+    """Stands in for the mpmath module and counts uses of mpmath.iv."""
+
+    def __init__(self):
+        self.uses = 0
+
+    def __getattr__(self, name):
+        if name == "iv":
+            self.uses += 1
+        return getattr(mpmath, name)
+
+
+def test_sign_margin_sends_near_ties_to_intervals(monkeypatch):
+    # theta - p/q with p/q the nearest fractions to theta over q = 10**e:
+    # the numerator polynomial q*theta - p lies in (-1, 1) while its terms
+    # reach 2q, so the proven float margin cannot sign it and the interval
+    # path must, at increasing precision
+    spy = _IntervalSpy()
+    monkeypatch.setattr(field, "mpmath", spy)
+    for n in (2, 3, 4, 8):
+        descr = field_init(n)
+        with mpmath.workdps(120):
+            theta = 2 * mpmath.cos(mpmath.pi / (2 * n))
+            for e in (17, 30, 60, 90):
+                q = 10 ** e
+                p = int(mpmath.floor(theta * q))
+                for num, want in ((p, 1), (p + 1, -1)):
+                    tiny = descr.theta - Fraction(num, q)
+                    uses = spy.uses
+                    assert tiny.sign() == want
+                    assert (-tiny).sign() == -want
+                    assert spy.uses > uses
+        # exact zeros are decided by their coefficients alone
+        uses = spy.uses
+        for zero in (descr.theta * descr.theta - 2 - descr.two_cos(2),
+                     descr.theta * Fraction(10 ** 30, 7)
+                     - descr.theta * Fraction(10 ** 30, 7)):
+            assert zero.sign() == 0
+        assert spy.uses == uses
+
+
+def _value_at_theta(e):
+    """e's value from 60 digits of theta, far inside approx's bound."""
+    with mpmath.workdps(60):
+        theta = 2 * mpmath.cos(2 * mpmath.pi / e.descr.N)
+        return sum(mpmath.mpf(c) * theta ** i
+                   for i, c in enumerate(e.num)) / e.den
+
+
+# the small fields of the cone layer, 2cos(pi/n) for n = 3, 4, 5, 8
+ROW_FIELDS = [real_cyclotomic(6), real_cyclotomic(8), real_cyclotomic(10),
+              real_cyclotomic(16)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("descr", ROW_FIELDS, ids=lambda d: f"N{d.N}")
+def test_float_filter_signs_agree_with_exact(descr, data):
+    # rows of half-cosines against vertices, with the last vertex entry moved
+    # so the product is exactly delta: 0, within 2**-40..2**-60 of 0, or +-1
+    k = data.draw(st.integers(1, 10))
+    row = [descr.two_cos(j) * Fraction(1, 2)
+           for j in data.draw(st.lists(st.integers(0, descr.N), min_size=k,
+                                       max_size=k))]
+    if not row[-1]:
+        row[-1] = descr.one
+    vertex = data.draw(st.lists(elements_of(descr), min_size=k, max_size=k))
+    zero = descr.zero
+    base = dot(row, vertex, zero)
+    exponent = data.draw(st.integers(40, 60))
+    for delta in (0, Fraction(1, 2 ** exponent), -Fraction(1, 2 ** exponent),
+                  1, -1):
+        moved = vertex[:-1] + [vertex[-1] + (delta - base) / row[-1]]
+        exact = dot(row, moved, zero)
+        assert exact == delta
+        for v in row + moved:  # each image encloses the value
+            f, r = approx(v)
+            assert abs(mpmath.mpf(f) - _value_at_theta(v)) <= r
+        row_image, moved_image = approx_vector(row), approx_vector(moved)
+        s, r = float_dot(*row_image, *moved_image)
+        decided = r < abs(s) < math.inf
+        if decided:
+            assert (1 if s > 0 else -1) == exact.sign()
+        if delta == 0:
+            assert not decided  # a valid bound never signs an exact zero
+        elif delta in (1, -1):
+            assert decided  # the float error here stays far below 1
+        assert dot_sign(row, moved, zero, row_image, moved_image) \
+            == exact.sign()
+
+
+def test_float_filter_goes_exact_on_non_finite_values():
+    descr = real_cyclotomic(8)
+    huge = descr.theta * 10 ** 400
+    assert approx(huge) == (approx(huge)[0], math.inf)
+    assert math.isnan(approx(huge)[0])
+    assert approx(Fraction(10 ** 400, 3))[1] == math.inf
+    xs, ys = [huge, descr.one], [descr.one, -huge]
+    assert dot_sign(xs, ys, descr.zero, approx_vector(xs),
+                    approx_vector(ys)) == 0
+    s, r = float_dot([1e308, 1e308], [0.0, 0.0], [10.0, 10.0], [0.0, 0.0])
+    assert s == math.inf and not r < abs(s) < math.inf
 
 
 def test_comparisons_order_two_cos_values():
