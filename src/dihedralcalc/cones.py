@@ -37,9 +37,11 @@ that maps the target's key set onto itself, so a cone comparison settles
 each orbit with one verdict, and the facet audit solves one LP per orbit
 of its own rows (Bodi, Herr & Joswig, "Algorithms for highly symmetric
 linear and integer programs", Math. Program. 2013).  ``slot_classes``
-reads those slots off the key set; no generator declares them.  An orbit
-member's audit witness is the representative's LP vertex with the slots
-permuted, checked against the member's row as an LP vertex is.
+reads those slots off the key set; no generator declares them, and
+``proven_slot_classes`` proves them once per system.  A row is the
+slot-wise concatenation of per-key columns, so a permuted LP vertex is
+optimal for the permuted row with the same value: orbit members inherit
+the representative's verdict and vertex with no check of their own.
 """
 
 from __future__ import annotations
@@ -568,25 +570,15 @@ def lp_optimize(system: InequalitySystem, row: Sequence) -> ConeLPResult:
     optimum = -res.optimum
     z = res.dual
     witness = [(z[2 * s], z[2 * s + 1]) for s in range(system.slots)]
-    _check_vertex(system, witness, obj, optimum)
-    return ConeLPResult("optimal", optimum, witness)
-
-
-def _check_vertex(system: InequalitySystem, witness: list, row: Sequence,
-                  value: FieldElement) -> None:
-    """Raise VerificationError unless the (a, b) pairs lie on the section
-    (nonnegative, summing to 1), satisfy every row of the system, and give
-    ``row`` the value ``value``."""
-    fld = small_field(system.n)
-    z = list(itertools.chain.from_iterable(witness))
-    if any(v < fld.zero for v in z):
+    if any(v < zero for v in z):
         raise VerificationError("vertex has a negative coordinate")
-    if sum(z, fld.zero) != fld.one:
+    if sum(z, zero) != one:
         raise VerificationError("vertex normalization is off")
     if not evaluate_point(system, witness).member:
         raise VerificationError("vertex violates a cone constraint")
-    if _eval_row(row, witness) != value:
+    if _eval_row(obj, witness) != optimum:
         raise VerificationError("vertex does not attain the LP optimum")
+    return ConeLPResult("optimal", optimum, witness)
 
 
 # -- redundancy audit ---------------------------------------------------------
@@ -615,26 +607,23 @@ def redundancy_audit(system: InequalitySystem) -> AuditReport:
     """Classify every inequality as facet-defining or implied by the rest.
 
     Row q is a facet when maximizing it over the other rows' cone section
-    gives a positive optimum.  A slot permutation within the classes of
-    ``slot_classes`` maps the system onto itself, so one LP per orbit
-    representative (``_canon_key``) settles the whole orbit.  Every other
-    member takes the representative's status, and its witness is the
-    representative's vertex with each class's slots permuted onto the
-    member's, checked by ``lp_optimize``'s vertex check against the system
-    without the member: a wrong symmetry raises VerificationError there.
+    gives a positive optimum.  ``proven_slot_classes`` proves once that a
+    slot permutation within its classes maps the system onto itself, so
+    one LP per orbit representative (``_canon_key``) settles the whole
+    orbit.  Every other member takes the representative's status, and its
+    witness is the representative's vertex with each class's slots
+    permuted onto the member's, unchecked: it is optimal for the member's
+    row over the system without the member, with the same value.
     """
     zero = small_field(system.n).zero
-    classes = slot_classes(system)
+    classes = proven_slot_classes(system)
     index = {q.key: idx for idx, q in enumerate(system.inequalities)}
     solved: dict[tuple, ConeLPResult] = {}
     entries = []
-    for idx, q in enumerate(system.inequalities):
+    for q in system.inequalities:
         rep = _canon_key(q.key, classes)
         res = solved.get(rep)
         if res is None:
-            if rep not in index:
-                raise VerificationError(
-                    f"orbit representative {rep} of {q.key} is not a row")
             res = lp_optimize(system.without(index[rep]), system.row(rep))
             solved[rep] = res
         if res.status != "optimal":
@@ -643,8 +632,6 @@ def redundancy_audit(system: InequalitySystem) -> AuditReport:
         witness = res.witness
         if rep != q.key:
             witness = _permuted(witness, q.key, classes)
-            _check_vertex(system.without(idx), witness, system.row(q.key),
-                          res.optimum)
         status = "facet" if res.optimum > zero else "redundant"
         entries.append(AuditEntry(q, status, witness))
     return AuditReport(entries)
@@ -685,6 +672,26 @@ def slot_classes(system: InequalitySystem) -> tuple[tuple[int, ...], ...]:
         else:
             classes.append([t])
     return tuple(tuple(c) for c in classes if len(c) > 1)
+
+
+def proven_slot_classes(system: InequalitySystem) -> tuple[tuple[int, ...], ...]:
+    """``slot_classes(system)``, proven apart from the loop that found them:
+    each adjacent transposition (cls[i], cls[i+1]) maps the key set onto
+    itself, so every permutation within the classes, which those
+    transpositions generate, does too.  Raises VerificationError naming the
+    two slots of a transposition that does not."""
+    classes = slot_classes(system)
+    keys = system.key_set
+    for cls in classes:
+        for s, t in zip(cls, cls[1:]):
+            for k in keys:
+                swapped = list(k)
+                swapped[s], swapped[t] = k[t], k[s]
+                if tuple(swapped) not in keys:
+                    raise VerificationError(
+                        f"swapping slots {s} and {t} does not map the key "
+                        f"set onto itself (key {k})")
+    return classes
 
 
 def _canon_key(key: tuple, classes: tuple) -> tuple:
@@ -739,7 +746,7 @@ def _implied_over(target: InequalitySystem,
 def _direction(
     source: InequalitySystem, target: InequalitySystem,
 ) -> tuple[list[ImplicationEntry], ImplicationEntry | None]:
-    classes = slot_classes(target)
+    classes = proven_slot_classes(target)
     reps: dict[tuple, tuple] = {}
     entries = []
     for q in source.inequalities:
@@ -764,11 +771,13 @@ def cone_equal(sys_a: InequalitySystem,
     """Mutual implication of two systems over the dominant region.
 
     Each direction reduces the source rows to orbit representatives under
-    the target's ``slot_classes``, which are read off its key set; every
-    representative is settled by duplicate lookup, entrywise domination,
-    or an exact LP.  A target system remembers the verdicts asked of it,
-    so comparing several systems against one target object solves each
-    LP once.
+    the target's slot classes, read off its key set and proven once per
+    direction by ``proven_slot_classes`` (a wrong class raises
+    VerificationError).  Every representative is settled by duplicate
+    lookup, entrywise domination, or an exact LP, and the other members of
+    its orbit inherit that verdict unchecked.  A target system remembers
+    the verdicts asked of it, so comparing several systems against one
+    target object solves each LP once.
     """
     if sys_a.n != sys_b.n or sys_a.slots != sys_b.slots:
         raise InvalidParameterError("systems are not comparable")
@@ -802,9 +811,18 @@ def embed_small(descr: FieldDescriptor, value: FieldElement) -> FieldElement:
     return dot(value.num, powers, descr.zero) / value.den
 
 
-def witness_to_json(descr: FieldDescriptor, witness: list) -> list:
-    return [[embed_small(descr, a).to_json(), embed_small(descr, b).to_json()]
-            for a, b in witness]
+def witness_writer(descr: FieldDescriptor):
+    """Witness -> JSON for one export, embedding each distinct (a, b) pair
+    once (orbit members carry their representative's pairs); equal pairs
+    share one JSON list."""
+    done: dict[tuple, list] = {}
+
+    def write(witness: list) -> list:
+        for pair in witness:
+            if pair not in done:
+                done[pair] = [embed_small(descr, v).to_json() for v in pair]
+        return [done[pair] for pair in witness]
+    return write
 
 
 def system_to_json(system: InequalitySystem) -> dict:
@@ -819,14 +837,14 @@ def system_to_json(system: InequalitySystem) -> dict:
 
 
 def audit_to_json(system: InequalitySystem, report: AuditReport) -> dict:
-    descr = field_init(system.n)
+    write_witness = witness_writer(field_init(system.n))
     entries = []
     for e in report.entries:
         doc = {"inequality_tag": e.inequality.tag.to_json(),
                "key": list(e.inequality.key),
                "status": e.status}
         if e.witness is not None:
-            doc["witness"] = witness_to_json(descr, e.witness)
+            doc["witness"] = write_witness(e.witness)
         entries.append(doc)
     return {
         "n": system.n, "m": system.slots,
@@ -837,7 +855,7 @@ def audit_to_json(system: InequalitySystem, report: AuditReport) -> dict:
 
 def equality_to_json(sys_a: InequalitySystem, sys_b: InequalitySystem,
                      cert: ConeEqualityCertificate) -> dict:
-    descr = field_init(sys_a.n)
+    write_witness = witness_writer(field_init(sys_a.n))
 
     def entry_doc(e: ImplicationEntry) -> dict:
         doc = {"inequality_tag": e.inequality.tag.to_json(),
@@ -847,7 +865,7 @@ def equality_to_json(sys_a: InequalitySystem, sys_b: InequalitySystem,
         if e.via is not None:
             doc["via"] = list(e.via)
         if e.witness is not None:
-            doc["witness"] = witness_to_json(descr, e.witness)
+            doc["witness"] = write_witness(e.witness)
         return doc
 
     doc = {

@@ -20,7 +20,7 @@ from dihedralcalc.cones import (
     gen_sti, gen_wti, inequality_row, is_member, lp_optimize, pairing_columns,
     redundancy_audit, row_values, slot_classes, small_field, system_to_json,
     system_to_latex, theta_system, vertex_cartesian, vertex_chart, w0_index,
-    witness_to_json,
+    witness_writer,
 )
 from dihedralcalc.errors import (DomainError, InvalidParameterError,
                                  VerificationError)
@@ -777,18 +777,48 @@ def test_orbit_audit_matches_per_row_lps(n, m, make):
             _assert_tight_exactly_once(system, entry)
 
 
-def test_audit_rejects_a_wrong_slot_symmetry(monkeypatch):
-    # without row (4, 4, 0), WTI(3,3) keeps only slots 0 and 1 symmetric;
-    # claiming slot 2 too must fail a permuted vertex's check, not pass
-    # silently with a representative's status
+@pytest.mark.parametrize("consumer", [
+    lambda system, lopsided: redundancy_audit(lopsided),
+    lambda system, lopsided: cone_equal(system, lopsided)],
+    ids=["audit", "cone-equal"])
+def test_audit_rejects_a_wrong_slot_symmetry(monkeypatch, consumer):
+    # without its key[2] == 0 rows, WTI(3,3) keeps only slots 0 and 1
+    # symmetric; claiming slot 2 too must fail the closure check, not pass
+    # silently with a representative's verdict (cone_equal would call the
+    # two cones equal)
     system = gen_wti(3, 3)
     assert slot_classes(system) == ((0, 1, 2),)
     lopsided = InequalitySystem(3, 3, [q for q in system.inequalities
                                        if q.key[2] != 0], dict(system.meta))
     assert slot_classes(lopsided) == ((0, 1),)
+    assert not cone_equal(system, lopsided).equal
     monkeypatch.setattr(cones, "slot_classes", lambda s: ((0, 1, 2),))
-    with pytest.raises(VerificationError, match="violates a cone constraint"):
-        redundancy_audit(lopsided)
+    with pytest.raises(VerificationError,
+                       match="swapping slots 1 and 2 does not map"):
+        consumer(system, lopsided)
+
+
+def test_orbit_members_get_no_vertex_check(monkeypatch):
+    # the closure check proves every orbit member's witness, so the audit
+    # checks one vertex per LP and none per member
+    calls = []
+
+    def counting(system, pairs):
+        calls.append(system)
+        return evaluate_point(system, pairs)
+
+    monkeypatch.setattr(cones, "evaluate_point", counting)
+    solved = []
+
+    def recording(sub, row):
+        solved.append(row)
+        return lp_optimize(sub, row)
+
+    monkeypatch.setattr(cones, "lp_optimize", recording)
+    system = gen_wti(8, 5)
+    report = redundancy_audit(system)
+    assert len(report.entries) == 130
+    assert len(solved) == len(calls) == 8
 
 
 # -- exports ----------------------------------------------------------------------
@@ -840,7 +870,7 @@ def test_latex_rendering():
 def test_witness_json_uses_ambient_field():
     sys = gen_wti(3, 3)
     res = lp_optimize(sys, sys.row(sys.inequalities[0].key))
-    doc = witness_to_json(field_init(3), res.witness)
+    doc = witness_writer(field_init(3))(res.witness)
     assert len(doc) == 3 and all(len(pair) == 2 for pair in doc)
     json.dumps(doc)
 
