@@ -16,7 +16,9 @@ invariant of growth.  Two free operations are built on it:
 
 Antipodality, ball-intersection counts, chart keys and geodesics are all
 read from tables of ``ChamberGraph.distances``, one bounded multi-source
-BFS.
+BFS.  All-pairs questions (the diameter, the pairs ``bar_step`` joins)
+are read from ``ChamberGraph.balls``, which grows every vertex's ball at
+once as a bit set.
 
 On top of the graphs it evaluates weighted-configuration slopes and
 searches for minimal-slope vertices.  A slope is minus one row of the
@@ -34,6 +36,10 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count, islice, repeat
+from operator import or_
+from typing import Iterator
 
 from .cones import (DominantWeight, gen_wti, is_member, row_value, small_field,
                     vertex_chart, weight_pairs)
@@ -42,6 +48,13 @@ from .field import FieldElement
 from .prering import GrassPreRing
 
 Chamber = tuple[int, int]
+
+# Sources per block of ``ChamberGraph.balls``: its balls hold at most this
+# many bits each, so a ladder of V balls holds O(V * BALL_BLOCK) bits.
+# Builds within the default budget fit in one block: each stage adds at
+# most 64 * (2n-3) vertices, and the largest, n = 8 with 3 stages and
+# m = 8, has 2,686.
+BALL_BLOCK = 4096
 
 
 class ChamberGraph:
@@ -153,7 +166,8 @@ class ChamberGraph:
         """Distance from each vertex to its nearest source, by one BFS.
 
         None for a vertex farther than ``limit`` or unreachable.  Every
-        distance table of this module comes from here; only the ``add_path``
+        single- and multi-source distance table of this module comes from
+        here.  All-pairs questions go to ``balls``; only the ``add_path``
         guard (``_ball``, whose cost is the ball's, not the graph's) and
         ``girth`` (its BFS sees ids >= the source and stops early) search
         on their own.
@@ -174,6 +188,32 @@ class ChamberGraph:
                         nxt.append(y)
             frontier = nxt
         return dist
+
+    def balls(self) -> Iterator[tuple[range, Iterator[list[int]]]]:
+        """All-pairs distances as ball ladders, one per block of sources.
+
+        Yields (block, ladder) for the blocks ``range(lo, lo + BALL_BLOCK)``
+        of vertex ids.  At radius r = 0, 1, 2, ... (without end) the ladder
+        yields a list with one int per vertex v, whose bit u - lo is set
+        exactly when d(u, v) <= r for the source u in the block.  Radius
+        r + 1 ORs each vertex's ball with its neighbours' balls at radius r:
+        one pass over the adjacency lists, each OR word-parallel over the
+        block.  Take each ladder as far as needed before the next block, so
+        that a few lists of V ints of at most BALL_BLOCK bits are live.
+        """
+        adj = self.adj
+
+        def ladder(block: range) -> Iterator[list[int]]:
+            ball = [0] * len(adj)
+            for bit, u in enumerate(block):
+                ball[u] = 1 << bit
+            while True:
+                yield ball
+                ball = [reduce(or_, map(ball.__getitem__, a), b) for a, b in zip(adj, ball)]
+
+        for lo in range(0, len(adj), BALL_BLOCK):
+            block = range(lo, min(lo + BALL_BLOCK, len(adj)))
+            yield block, ladder(block)
 
     def _ball(self, src: int, radius: int) -> dict[int, int]:
         """Distances from src of the vertices within ``radius`` of it."""
@@ -312,11 +352,16 @@ def girth(g: ChamberGraph) -> float:
 
 
 def graph_metrics(g: ChamberGraph) -> dict:
-    """Girth, diameter and valence statistics; infinities when disconnected."""
-    if g.num_vertices and None in g.distances(0):
-        diameter = math.inf
-    else:
-        diameter = max([max(g.distances(v)) for v in range(g.num_vertices)])
+    """Girth, diameter and valence statistics; infinities when disconnected.
+
+    The diameter comes from ``ChamberGraph.balls``: per block, the first
+    radius at which every ball holds the whole block, and math.inf when a
+    round adds no bit before that, since then some pair is unreachable.
+    """
+    if not g.num_vertices:
+        raise InvalidParameterError("graph has no vertices")
+    diameter = max(_fill_radius(ladder, [(1 << len(block)) - 1] * g.num_vertices)
+                   for block, ladder in g.balls())
     valences = [len(a) for a in g.adj]
     return {
         "vertices": g.num_vertices,
@@ -329,7 +374,25 @@ def graph_metrics(g: ChamberGraph) -> dict:
     }
 
 
+def _fill_radius(ladder: Iterator[list[int]], full: list[int]) -> float:
+    """First radius at which the ladder reaches ``full``; math.inf if it stalls first."""
+    prev = None
+    for radius, ball in enumerate(ladder):
+        if ball == full:
+            return radius
+        if ball == prev:
+            return math.inf
+        prev = ball
+
+
 # -- free growth operations --------------------------------------------------
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(x: int, start: int) -> Iterator[int]:
+    """start + i for each set bit i of x, ascending."""
+    return compress(count(start), bin(x)[:1:-1].encode().translate(_BIT))
 
 
 def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
@@ -340,19 +403,25 @@ def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
     n; both keep the graph bipartite and create only cycles of length 2n.
     At most ``cap`` pairs of each kind are processed per call (a seeded
     sample when there are more).  The "bar" log entry counts the joined
-    and the skipped pairs of each kind.
+    and the skipped pairs of each kind.  Both pair lists, in (u, v) order
+    with u < v, are read off the balls of radii n-1, n and n+1 of
+    ``ChamberGraph.balls``: v is at distance n+1 from u when it lies in
+    the ball of radius n+1 around u but not in the one of radius n.
     """
     g2 = g.copy()
     n = g2.n
     far: list[Chamber] = []
     near: list[Chamber] = []
-    for u in range(g2.num_vertices):
-        dist = g2.distances(u, limit=n + 1)
-        for v in range(u + 1, g2.num_vertices):
-            if dist[v] == n + 1:
-                far.append((u, v))
-            elif dist[v] == n:
-                near.append((u, v))
+    for block, ladder in g2.balls():
+        inner, mid, outer = islice(ladder, n - 1, n + 2)
+        for u in range(block.stop - 1):
+            skip = max(u + 1 - block.start, 0)
+            start = block.start + skip
+            far.extend(zip(repeat(u), _set_bits((outer[u] & ~mid[u]) >> skip, start)))
+            near.extend(zip(repeat(u), _set_bits((mid[u] & ~inner[u]) >> skip, start)))
+    # blocks emit their pairs u by u, so a second block interleaves the first
+    far.sort()
+    near.sort()
 
     def pick(pairs: list[Chamber]) -> tuple[list[Chamber], int]:
         if len(pairs) <= cap:

@@ -333,6 +333,126 @@ def test_graph_metrics_disconnected():
     assert graph_metrics(g)["diameter"] == math.inf
 
 
+def test_graph_metrics_rejects_empty_graph():
+    with pytest.raises(InvalidParameterError, match="graph has no vertices"):
+        graph_metrics(ChamberGraph(3))
+
+
+# -- all-pairs questions: the ball kernel against one BFS per vertex ------------
+
+
+def diameter_reference(g):
+    """Largest distance over one full BFS per vertex; math.inf when disconnected."""
+    tables = [g.distances(v) for v in range(g.num_vertices)]
+    if any(None in t for t in tables):
+        return math.inf
+    return max(max(t) for t in tables)
+
+
+def bar_pairs_reference(g):
+    """The (u, v) pairs with u < v at distance n+1 and n, one BFS per vertex."""
+    n = g.n
+    far, near = [], []
+    for u in range(g.num_vertices):
+        dist = g.distances(u, limit=n + 1)
+        for v in range(u + 1, g.num_vertices):
+            if dist[v] == n + 1:
+                far.append((u, v))
+            elif dist[v] == n:
+                near.append((u, v))
+    return far, near
+
+
+def bar_pairs(g):
+    """bar_step's far and near lists, as its pick hands them to rng.sample.
+
+    At cap 0 every nonempty list is sampled and counted as skipped, so the
+    sampled lists and the log's skipped counts pin both lists exactly.
+    """
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(random.Random, "sample", lambda self, pairs, k: seen.append(list(pairs)) or [])
+        grown = bar_step(g, cap=0)
+    entry = grown.log[-1]
+    lists = iter(seen)
+    far = next(lists) if entry["skipped_far"] else []
+    near = next(lists) if entry["skipped_near"] else []
+    assert next(lists, None) is None
+    assert (len(far), len(near)) == (entry["skipped_far"], entry["skipped_near"])
+    return far, near
+
+
+def _grown(n, m, stages):
+    g = find_antipodal_tuple(ChamberGraph.apartment(n, seed=n), m).graph
+    for _ in range(stages):
+        g = bar_step(g)
+    return g
+
+
+def _with_isolated_vertex():
+    g = ChamberGraph.apartment(3)
+    g.add_vertex(1)
+    return g
+
+
+def _single_vertex():
+    g = ChamberGraph(3)
+    g.add_vertex(2)
+    return g
+
+
+def _two_apartments():
+    g = ChamberGraph.apartment(4)
+    for k in range(8):
+        g.add_vertex(1 + (k % 2))
+    for k in range(8):
+        g.add_edge(8 + k, 8 + (k + 1) % 8)
+    return g
+
+
+ALL_PAIRS_GRAPHS = {
+    **{f"apartment-{n}": (lambda n=n: ChamberGraph.apartment(n)) for n in range(2, 7)},
+    **{f"tuple-{n}-{m}": (lambda n=n, m=m: _grown(n, m, 0)) for n in (3, 4) for m in (2, 3, 4)},
+    **{f"bar-{n}-{k}": (lambda n=n, k=k: _grown(n, 3, k)) for n, k in
+       [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]},
+    "isolated-vertex": _with_isolated_vertex,
+    "single-vertex": _single_vertex,
+    "two-apartments": _two_apartments,
+}
+
+
+@pytest.mark.parametrize("block", [building.BALL_BLOCK, 7])
+@pytest.mark.parametrize("name", sorted(ALL_PAIRS_GRAPHS))
+def test_all_pairs_match_per_vertex_bfs(monkeypatch, name, block):
+    g = ALL_PAIRS_GRAPHS[name]()
+    monkeypatch.setattr(building, "BALL_BLOCK", block)
+    assert graph_metrics(g)["diameter"] == diameter_reference(g)
+    assert bar_pairs(g) == bar_pairs_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=bipartite_graphs(), block=st.sampled_from([1, 3, 7, 4096]))
+def test_all_pairs_match_per_vertex_bfs_on_random_graphs(g, block):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(building, "BALL_BLOCK", block)
+        assert graph_metrics(g)["diameter"] == diameter_reference(g)
+        assert bar_pairs(g) == bar_pairs_reference(g)
+
+
+def test_balls_hold_one_block_of_bits(monkeypatch):
+    g = _grown(3, 3, 1)
+    monkeypatch.setattr(building, "BALL_BLOCK", 7)
+    blocks = []
+    for block, ladder in g.balls():
+        blocks.append(block)
+        for radius, ball in zip(range(2 * g.n), ladder):
+            assert all(b.bit_length() <= len(block) <= 7 for b in ball)
+            reference = [g.distances(u, limit=radius) for u in block]
+            assert ball == [sum(1 << i for i, t in enumerate(reference) if t[v] is not None)
+                            for v in range(g.num_vertices)]
+    assert [v for block in blocks for v in block] == list(range(g.num_vertices))
+
+
 def test_check_n1_isometric_detects_changes():
     old = ChamberGraph(4)
     a = old.add_vertex(1)

@@ -207,11 +207,15 @@ def test_build_deterministic_and_metrical(tmp_path):
     assert graph.n == 3
 
 
-# Payload digests of ``build`` at seed 12345 for n = 4 and n = 5: the
+# Payload digests of ``build`` at seed 12345 for n = 4, 5 and 6: the
 # determinism battery pins only n = 3, so these pin bar_step growth past it.
+# (5, 4) and (6, 3) reach diameters 15 and 16 with more than 10^5 pairs per
+# bar_step scan.
 @pytest.mark.parametrize("n, stages, pin", [
     (4, 3, "f4ffe2846ffe65d74117ebd0a0657728e80c46545ad5f3f0c263808816018449"),
     (5, 2, "dc180d0f49de3aa2f77ac9c9594995e9137852b15dd46da7ee2bb978dc0d8d60"),
+    (5, 4, "ff8497fa14f8915e93ce610465952cd40273b30680d424b104eefa63f3f3f2dc"),
+    (6, 3, "40de38b8649538115de57c0ea8c6f73792596dcb8b20343b69f482376d23f6e5"),
 ])
 def test_build_payload_pinned(tmp_path, n, stages, pin):
     dest = tmp_path / "g.json"
