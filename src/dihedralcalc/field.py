@@ -607,11 +607,39 @@ class FieldElement:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """Each coefficient num[i]/den in lowest terms, as "p" or "p/q"."""
+        den = self.den
+        out = []
+        for c in self.num:
+            g = gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
 
 def element_from_json(descr: FieldDescriptor, doc: Sequence[str]) -> FieldElement:
-    return descr.element(Fraction(s) for s in doc)
+    """The element whose coefficients are the "p" or "p/q" strings of doc
+    (p, q read with int, q > 0); anything else is InvalidParameterError."""
+    if not isinstance(doc, (list, tuple)):
+        raise InvalidParameterError("coefficients must be a list of strings")
+    if len(doc) != descr.degree:
+        raise InvalidParameterError(
+            f"expected {descr.degree} coefficients, got {len(doc)}")
+    nums, dens = [], []
+    for s in doc:
+        try:
+            p, slash, q = s.partition("/")
+            num, den = int(p), int(q) if slash else 1
+        except (AttributeError, TypeError, ValueError):
+            raise InvalidParameterError(
+                f"coefficient {s!r} is not an integer p or p/q") from None
+        if den <= 0:
+            raise InvalidParameterError(
+                f"coefficient {s!r} needs a positive denominator")
+        nums.append(num)
+        dens.append(den)
+    den = lcm(*dens)
+    return _element(descr, tuple([c * (den // q) for c, q in zip(nums, dens)]),
+                    den)
 
 
 def sign_of(e: FieldElement) -> int:

@@ -62,21 +62,36 @@ class ConcaveWeighting:
     alg: AlgebraContext
     target: str  # "full" or "side"
     side: int | None
-    values: dict  # WeylElement -> FieldElement, the (negated) weights
+    values: dict  # length -> FieldElement, the (negated) weight
+    # (u.length, v.length, w.length) -> sign of the deformation exponent
+    _signs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def full(cls, alg: AlgebraContext) -> "ConcaveWeighting":
-        vals = {w: -full_weight(alg.descr, w.length) for w in alg.basis()}
+        vals = {k: -full_weight(alg.descr, k)
+                for k in {w.length for w in alg.basis()}}
         return cls(alg, "full", None, vals)
 
     @classmethod
     def one_sided(cls, alg: AlgebraContext, i: int) -> "ConcaveWeighting":
-        vals = {w: -side_weight(alg.descr, w.length)
+        vals = {w.length: -side_weight(alg.descr, w.length)
                 for w in alg.grassmannian_basis(i)}
         return cls(alg, "side", i, vals)
 
     def phi(self, w: WeylElement) -> FieldElement:
-        return self.values[w]
+        return self.values[w.length]
+
+    def exponent_sign(self, u: WeylElement, v: WeylElement,
+                      w: WeylElement) -> int:
+        """Sign of phi(u) + phi(v) - phi(w).  The weights depend on length
+        alone, so the sign is decided once per length triple."""
+        key = (u.length, v.length, w.length)
+        s = self._signs.get(key)
+        if s is None:
+            s = self._signs[key] = sign_of(
+                _deformation_exponent(self, u, v, w))
+        return s
 
     def basis(self) -> list[WeylElement]:
         if self.target == "side":
@@ -127,7 +142,7 @@ def concavity_audit(weighting: ConcaveWeighting) -> ConcavityReport:
                 continue
             pairs += 1
             for w, c in alg.mul_basis(u, v).items():
-                s = sign_of(_deformation_exponent(weighting, u, v, w))
+                s = weighting.exponent_sign(u, v, w)
                 if s < 0:
                     violations.append((u, v, w))
                     continue
@@ -144,7 +159,7 @@ def gr_mul(weighting: ConcaveWeighting, u: WeylElement,
     """Associated graded product: equality-level terms survive unchanged."""
     out = {}
     for w, c in weighting.alg.mul_basis(u, v).items():
-        if sign_of(_deformation_exponent(weighting, u, v, w)) == 0:
+        if weighting.exponent_sign(u, v, w) == 0:
             out[w] = c
     return out
 
@@ -167,7 +182,7 @@ def limit_mul(weighting: ConcaveWeighting, u: WeylElement,
     their (unit) coefficient."""
     out = {}
     for w, c in weighting.alg.mul_basis(u, v).items():
-        if sign_of(_deformation_exponent(weighting, u, v, w)) == 0:
+        if weighting.exponent_sign(u, v, w) == 0:
             if c != weighting.alg.descr.one:
                 raise VerificationError(
                     "equality-level structure constant is not 1")

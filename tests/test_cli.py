@@ -191,6 +191,161 @@ def test_mult_table_bi_side_flag(tmp_path):
     assert load(one)["payload"]["basis"] != load(two)["payload"]["basis"]
 
 
+# Payload digests of `mult-table` for every n the algebra-tables benchmark
+# exports, per n in the order at, gr, limit, bi --side 1, bi --side 2.
+# Payloads, not whole files: the manifest names the Python version.
+MULT_TABLE_PINS = {
+    2: (
+        "ef378a75f80413f13d714c9966e2af6346101fa7373bf21c4d106111fb767e92",
+        "ef378a75f80413f13d714c9966e2af6346101fa7373bf21c4d106111fb767e92",
+        "7e30e15ed9715d4e9e6e08b678e9d0ef7effd2d797f5c3541965e5e850c96af6",
+        "15225969fa92169c18bf053f9c85ddff98b6f993c25cf56061bdcde04bea7b60",
+        "761892aa73871b6b669ad274c853f9d3f0aa9104aa0b545658cbf3ee38b356ca",
+    ),
+    3: (
+        "553586579c3e089a986db47e7ac30aa6b4958e1487544187182194bf2c54d05d",
+        "28c633404602b72a060d90a27c4f93b514c27a4bae8ced686a04d8caf71bb190",
+        "e08edd14aa82a8ac3a44b51f4b17b0c6181dff4206bc8608e3185844398911d3",
+        "c4e7605a0f48a560e7a3d4b5dd6fd8f6528c3f0c7caa3209195d9c0a50e6ce35",
+        "5f289cd2154735878d93e1b8f860f31d419f89bdd6af7cf1242ecec13c3c9184",
+    ),
+    4: (
+        "392a1d7f8a0ef8bf1b8d3fd4b3446ed63b2fa471b49be287feb28822ce016071",
+        "6bb37036279dce8738c92b284e3ee0948922632ca38cb7b88c95518ca3b5b41f",
+        "c001f0de75c8f80a836ef6096b5a7c0116030e5d45e9ce556a67ca679cd82b9c",
+        "ffacb0b0cfff54396492bb0724737305a0be939733b47187d20071041f5b4859",
+        "79d779a05e9a9e915cbdf74766a1ae8bd7ffbeb09b0b54ba7041583562d9d0aa",
+    ),
+    5: (
+        "9168f5bebc5c2604b8db6e22bfab986cbe9c692ed93813fb6d0b4367696651fb",
+        "31794244ef1a2b7324128ec47b92108c7a5bced0b5aeecde5b237905df1c5db7",
+        "08bee4591eee321c3a827da027750f411c16cca4ded181287a1de164785a974c",
+        "214d9c57e29d71f0d4477c47a598fe3318340bb88c3f3bbd6d58453ccb7b1348",
+        "14fadc2a4ef8b241771484686853b38267bc66909410fb736f5361d4d5150d09",
+    ),
+    6: (
+        "6c919931b38455641d09026682e85a11e41c189d8f3b6c4ccc29175a11de7d56",
+        "0ab08c100fcffe7a288ac1e2fdb60a7638c482a5db8b2cd6a850a50c4833767f",
+        "b1d92039e611f9ab258269b8917c7045ad119e27d6dba0ea8ebb0118af5fdf0e",
+        "6ad4f3264926704e238d937c53c884be1f90847564301fd53ad653fcd4cfe4f7",
+        "ffbc25d3a1e3c3141c488b13b0d2ea9fb0d1aff5fb5ac43db4487381cf7d7422",
+    ),
+    7: (
+        "f59913cfdc123cabedf9783993ad37ddf78e1540a42b081dd77177608052cd93",
+        "2c49c758c96f27998be27d7eb7777cc19271c35e8b44ad14037768ec74d21e9c",
+        "70b22bf44b661896fc8ec9888d15833ea89cf8e0621a07caaf7d106ceeb08311",
+        "b57b2328556574975f328da433a8c62af60e9ad03043a3a3e50944efcdf3ffc9",
+        "25e1026a512b362282c76adaf6d97e6b0c80c9939670d1653f81b5ca44879b89",
+    ),
+    8: (
+        "9b4f1d588811ddf7ae835c9c04f136c264e2896081fde6b0147a32157024e561",
+        "aab41fe151e04b60cd9fd708a40bf519a7f7207832f1d21af9687327a00c3856",
+        "a4958bc412b4c07f87232c5207da93d79fb630cf6a055727f17927c51d7df827",
+        "0e85b1f4e7d8be17887fdea5c6aba21d8d69479629fe223237fd1866f066a94e",
+        "f3f8b1254b72ae862213f7539acb7f990c16ce426d008315d01d33e3aa0054a7",
+    ),
+    9: (
+        "8c88163408919b8ab677c68a348b1654da7deac8d5aa5e1a882b23c7771ff95e",
+        "2b783f15fdd80f560529d4e46b177420840a6f042d0e5ba457ac35b1fabdf618",
+        "4072c85c14dab2e4fe03a444943b1170078e21f0dbfe4247557da92e5a90c5d5",
+        "608d2e2f2310e8dadafb0907ff28ee141bf6159887e04aa617e48021c8a24909",
+        "89b3db704c5a57d2f8d08ae8ee1b8138158b746df67701989d3505eb2be05ed9",
+    ),
+    10: (
+        "0ea77c415d102426fc17690d18ec0449040d96726563572dcdf30d8b3f1851ac",
+        "03a8ab798c3379ff836d331e2b16e4658b4f30b0188578f7fa0e08f4dd8cc9d0",
+        "862c279635324e170b4e6ef60efa53c52367af86f306ad7dacf4acc845caf3c9",
+        "c0e6e428601538f3357b470431063700d4a3da2d5cdf4085e0c6e4db07b01e96",
+        "827b1fbabcc8a0b21bd56bcdbab63a5e2d7f3a7ce1fb92657a23e1158877f939",
+    ),
+    11: (
+        "f63b66f41c92fb75320ebfb4b0b50dcc8e6ed4dab245fe4f124bb8f66db4cea2",
+        "a605199dfb9acccad4c19425acf2d1bb515bc2712cea6c3f265cb6b3cac0fcac",
+        "57e10e9428350a3e6f6c9b798a8e7835143b744c07f1668b7037b33078e54bf7",
+        "36c116cd91d7f3dc69635e9008a41fb3fb3c9c09d0cf1c6c0b1412e92d06f0d6",
+        "1cd52014fc7044f7755506c41206579f711547180d874b01a9eed989a9f49ec8",
+    ),
+    12: (
+        "497c3724165f7e6f8228a00f5cb348fd2b7a2bfc48810884e400929dd418b3a7",
+        "4da8d69525ac3f2efda8d4ded8b6b496abf7174dc352e50ce70db35fb93b6773",
+        "f6176f83ed4528d99510cc77a87cca0b79459e45c539246c315ebfa5422e63ca",
+        "6735edd11aad85c4306232e57419e292f0cb614e7e9a784e47bbc3c407de01c2",
+        "55810b919a1086699bc503d2570f172c824398ecb19b9ac0763b0d09b32aab21",
+    ),
+    13: (
+        "b129c692c1e0333408c2e96ef5b197dd0cf00411ca7985e4182db3f044a95f53",
+        "3732c04ee3d92db5dcbe7ce8d279564da928d185d3ef49310e1eabae5e9d5c3b",
+        "fa130c0f8cd85d8c74beac39fca3b360dbada9f13e9c1fc334e3853adf7d8700",
+        "b22e378b082e56ea25435eccde024d5562b154d7277bb65ec68cb3bdf8e55ff0",
+        "73c6402eb5ed6a06cb0ecc7ca9838a3f2df84f9361b1155d9e0b2fe8a10ae4f5",
+    ),
+    14: (
+        "12b72d16fb5de2933931d8fd8e6d009af2be2ef008dbc5112daea19f85071237",
+        "48c74750b033745cc2d4caf08c485ccd02641b9e390b915be4b3c85f65360c6c",
+        "f013f737de28a5f7334ed12b29c174e6cba73a6c59632b31efc3745822de0a6b",
+        "f0fcf288e1a6aa18f6171ec6e06abda4b99623f965b2618e70aa581b364e85b2",
+        "82caae0a4a142bfddb76b5d00ceaca6f55792d87e998a47509d67d7effb4cc37",
+    ),
+    15: (
+        "8dcc83e4050fde59c76e4dbaaf8ecd18ef6b3a9afa5c730d93877aa0d4ac9b63",
+        "980454bdb37bcf594792863d432a6f4255866fa345ef9c630ebfa09e5be06adc",
+        "a65c19da84b4ebe408fbcf0e18379492f60e8223725247d51e4ed67a14ebd55d",
+        "aa48d7cba6d455839a22422f36dd089653a6795f61eebaf1fe7889549902f1ab",
+        "e2452dcb152facf8052891a1b2c57b900507b44027a1c032cf2dffe6eea54c2a",
+    ),
+    16: (
+        "a866b2af03fe9f7e950191668fe270dfd6f2c2fbd220e0dd463b44a00de11889",
+        "c7280ec30a89bb1dfd6bf8ddcc29eb1068f82258c66ee5e143f73528d42bfd7c",
+        "ee232645ca7d7288a593befe7a7792959404d1cad3495e632e5709cfc8793434",
+        "bf50c8a29ee0b7058a31c697b570495e9f629bdbcf5ec964720d85608a0f973d",
+        "23a3c3753a3f55f73b2a4864256e2f53da8754730e21e02dcf130dcc88f6cca2",
+    ),
+    17: (
+        "39b733c2cd5307bd1567639902c02b01503c7de263766157e44d34dc0472ffac",
+        "cc79ea7b8936512d796c9104152811af069e6d04251922cef60e3d98e21250c9",
+        "2d8470a2ea7b3975348022ff21ac3dbab7c7ab79fc8885436f4d10522c492169",
+        "f0e2561697d9087cec9b7bc65a441318249672517bfb6450e26e9223092c8788",
+        "72665a48a6eeb52ae5fe16ec984c688edc795df59747727c0924097d7eb95752",
+    ),
+    18: (
+        "9b7cc23e57845f5651fdad0ef6a6bd7e302a31d17404b60daedfe6910689c48f",
+        "1c01719bfba35b437858493d12f2bf6619d68282599402dfcbe5f0dd714b5d9b",
+        "cae2bad3e212c748c83444686aa3bbbdb8b71a322d2c4f8ff6c8d5de36938ef6",
+        "1cc8041f3e0e26c899d9b6c73eee88c7f827cb7bfc3e86f34ca0ab0f3f3e5b3b",
+        "112e67e079bca89fed0c64ef47f37186d977a11289fdbe0cbdc55e88ea3de6c2",
+    ),
+    19: (
+        "e5823bed0cacd2c3fac785c6089dc4469942767866eb5b2ed8d7e12378fbc127",
+        "98ba7ce2d2ca08baa0424f830b7863ace0e69fb7abd876352a476750504a3d60",
+        "09f44edee0f61c3496e756ce88bc18d5e671d32091b1b3d87c798bbb35555ef0",
+        "fec0051948e156f09d9c09bec9ec1616e4b3642af3cd12a2255cc8996553a6d6",
+        "74de0a5ef1a6eb11601ecd748bbdd0d5f68e35a353b7370d4f901b90e9965e7b",
+    ),
+    20: (
+        "da2d67d7b513bae446f3ebb8acf54f3dc42aa43531e04f63d7919bc2757b0d93",
+        "a19007d328f094ef537842e016084e71dfa0f2b3f3f02fb1a84973132850caac",
+        "6c6763f9c434cbb3bbf1260a2575858602e75b1ac6e8a67fb6516d2a4c9d8d9e",
+        "40971225e00dfa300d6abf706258b9fb3bcea280d992bb124d3f94fa539214c2",
+        "09e4c9a3f463eb86bba96fded4a58fb343b7841873f4ecf68fa01aefb4ea14b3",
+    ),
+}
+MULT_TABLE_KINDS = (["at"], ["gr"], ["limit"], ["bi", "--side", "1"],
+                    ["bi", "--side", "2"])
+
+
+@pytest.mark.parametrize("n", sorted(MULT_TABLE_PINS))
+def test_mult_table_payload_pinned(tmp_path, n):
+    found = []
+    for kind in MULT_TABLE_KINDS:
+        dest = tmp_path / f"{'-'.join(kind)}.json"
+        run(tmp_path, "mult-table", "--n", str(n), "--algebra", *kind,
+            "--dest", str(dest))
+        doc = load(dest)
+        assert doc["manifest"]["digests"]["payload"] == digest(doc["payload"])
+        found.append(digest(doc["payload"]))
+    assert tuple(found) == MULT_TABLE_PINS[n]
+
+
 # -- build / slope -----------------------------------------------------------------------------
 
 def test_build_deterministic_and_metrical(tmp_path):

@@ -247,8 +247,32 @@ def test_integer_form_matches_fraction_reference(name, data):
     assert scaled == a and hash(scaled) == hash(a)
     assert (a == b) == (tuple(ca) == tuple(cb))
     for e in (a, a * b):
+        assert e.to_json() == [str(c) for c in e.coeffs]
         back = element_from_json(descr, e.to_json())
         assert back == e and back.to_json() == e.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
+def test_json_matches_fraction_reference(name, data):
+    # to_json writes str(Fraction) of each coefficient from the integer form,
+    # and element_from_json reads zero, negative and non-reduced p/q back
+    descr = REFERENCE_FIELDS[name]()
+    d = descr.degree
+    nums = data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(-10 ** 30, 10 ** 30)),
+        min_size=d, max_size=d))
+    den = data.draw(st.integers(min_value=1, max_value=10 ** 12))
+    ref = [Fraction(c, den) for c in nums]
+    e = descr.element(ref)
+    assert e.to_json() == [str(c) for c in ref]
+    assert element_from_json(descr, e.to_json()) == e
+    k = data.draw(st.integers(min_value=1, max_value=10 ** 6))
+    scaled = [f"{c * k}/{den * k}" for c in nums]
+    back = element_from_json(descr, scaled)
+    assert_canonical(descr, back)
+    assert back == e and back.to_json() == e.to_json()
 
 
 # degree 1, 2, 4, 8 and 16
@@ -733,6 +757,25 @@ def test_serialization_roundtrip():
     doc = e.to_json()
     assert all(isinstance(s, str) for s in doc)
     assert element_from_json(descr, doc) == e
+
+
+@pytest.mark.parametrize("doc", [
+    ["1/0", "0"],  # zero denominator
+    ["1/-2", "0"],  # negative denominator
+    ["abc", "0"],  # not an integer
+    ["1.5", "0"],  # decimals are not read
+    ["1/", "0"],
+    ["1/2/3", "0"],
+    [1, "0"],  # not a string
+    [None, "0"],
+    ["1"],  # wrong count
+    ["1", "0", "0"],
+    "10",  # not a list
+    None,
+])
+def test_element_from_json_rejects(doc):
+    with pytest.raises(InvalidParameterError):
+        element_from_json(field_init(2), doc)
 
 
 def test_descriptor_json():

@@ -221,6 +221,33 @@ def test_deform_exponent_signs():
             assert not c.is_zero()
 
 
+WEIGHTINGS = {
+    **{f"full-{n}": lambda n=n: ConcaveWeighting.full(alg(n))
+       for n in range(2, 13)},
+    **{f"side{i}-{n}": lambda n=n, i=i: ConcaveWeighting.one_sided(alg(n), i)
+       for n in range(2, 13) for i in (1, 2)},
+    "hyperbolic": lambda: ConcaveWeighting.full(
+        AlgebraContext(field_init(t=Fraction(5, 2)), cap=10)),
+}
+
+
+@pytest.mark.parametrize("name", list(WEIGHTINGS))
+def test_exponent_sign_matches_exponent(name):
+    weighting = WEIGHTINGS[name]()
+    basis = weighting.basis()
+    assert set(weighting.values) == {u.length for u in basis}
+    weight = full_weight if weighting.target == "full" else side_weight
+    assert all(weighting.phi(u) == -weight(weighting.alg.descr, u.length)
+               for u in basis)
+    cap = weighting.alg.cap if weighting.alg.n_t is None else None
+    for u, v in itertools.product(basis, repeat=2):
+        if cap is not None and u.length + v.length > cap:
+            continue
+        for z in weighting.alg.mul_basis(u, v):
+            assert weighting.exponent_sign(u, v, z) == \
+                sign_of(_deformation_exponent(weighting, u, v, z))
+
+
 # -- the collapse onto pre-rings -----------------------------------------------
 
 def test_limit_values():
