@@ -3,9 +3,14 @@
 A rank-2 incidence geometry with dihedral symmetry of order 2n is, at the
 level of its vertex-edge graph, a bipartite graph of girth at least 2n in
 which any two elements lie at distance at most n.  This module grows such
-graphs from a seed 2n-cycle by fresh paths; ``ChamberGraph.add_path``
-refuses any path closing a cycle shorter than 2n, so girth >= 2n is an
-invariant of growth.  Two free operations are built on it:
+graphs from a seed 2n-cycle by fresh paths, and refuses any path closing a
+cycle shorter than 2n, so girth >= 2n is an invariant of growth.
+``ChamberGraph.add_path`` decides a single join by a ball search
+(``_ball``).  A batch of joins read off one distance snapshot, a pair at
+distance d in {n, n+1} getting a path of length L = 2n - d, is decided
+without one by ``ChamberGraph._join_snapshot``: a new cycle through such
+a path is shorter than 2n exactly when an earlier path of the batch on
+the same pair has L_j + L_i < 2n.  Two free operations are built on it:
 
 * ``bar_step`` completes distance-(n+1) and distance-n vertex pairs by
   fresh arcs, pushing the diameter toward n without ever creating a cycle
@@ -35,9 +40,10 @@ import csv
 import io
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import or_
 from typing import Iterator
 
@@ -140,16 +146,54 @@ class ChamberGraph:
             d = min((near[x] + dx for x, dx in far.items() if x in near), default=None)
             if d is not None:
                 raise VerificationError(f"path would close a {length + d}-cycle < {2 * self.n}")
-        new: list[int] = []
-        prev = u
-        t = self.types[u]
-        for _ in range(length - 1):
-            t = 3 - t
-            w = self.add_vertex(t)
-            self.add_edge(prev, w)
-            new.append(w)
-            prev = w
-        self.add_edge(prev, v)
+        return self._lay_path(u, v, length)
+
+    def _join_snapshot(self, joins: list[tuple[int, int, int]]) -> None:
+        """Lay the joins read off one distance snapshot, without a search.
+
+        Each (u, v, d) has d = d(u, v) in {n, n+1} in the graph before the
+        batch (a lower bound on it also does), and gets a fresh path of
+        length L = 2n - d, in order.  A shortest new cycle through a path
+        P_i is P_i plus a u_i-v_i route that traverses whole earlier paths
+        P_j (each L_j >= n-1) between old-graph stretches.  Through no
+        earlier path the route is >= d_i; through one on another pair it is
+        >= L_j + 1 >= n, so the cycle is >= 2n-1, hence >= 2n by parity;
+        through two or more the cycle is >= 3n-3, which is >= 2n, or 3, hence
+        4, at n = 2.  So P_i closes a cycle shorter than 2n exactly when
+        d_i + L_i < 2n (never, as L_i = 2n - d_i) or an earlier P_j on the
+        same pair has L_j + L_i < 2n: these are the joins ``add_path``
+        refuses, refused here with its message before any path is laid.
+        """
+        n = self.n
+        shortest: dict[tuple[int, int], int] = {}  # per pair, min(d, its paths' lengths)
+        for u, v, d in joins:
+            if d not in (n, n + 1):
+                raise InvalidParameterError(f"join distance {d} outside {n}..{n + 1}")
+            length = 2 * n - d
+            if (self.types[u] + self.types[v] + length) % 2 != 0:
+                raise InvalidParameterError("path length incompatible with endpoint types")
+            pair = (min(u, v), max(u, v))
+            prev = shortest.get(pair, d)
+            if prev + length < 2 * n:
+                raise VerificationError(f"path would close a {length + prev}-cycle < {2 * n}")
+            shortest[pair] = min(prev, length)
+        for u, v, d in joins:
+            self._lay_path(u, v, 2 * n - d)
+
+    def _lay_path(self, u: int, v: int, length: int) -> list[int]:
+        """Join u to v by a fresh path with ``length`` edges; the caller has
+        checked its parity and its girth bound.  A fresh vertex's neighbours
+        are the ones before and after it on the path, so only u and v take
+        a neighbour by insertion."""
+        if length == 1:
+            self.add_edge(u, v)
+            return []
+        new = [self.add_vertex(1 + (self.types[u] + k) % 2) for k in range(length - 1)]
+        ends = [u, *new, v]
+        for prev, w, nxt in zip(ends, new, ends[2:]):
+            self.adj[w] = [prev, nxt] if prev < nxt else [nxt, prev]
+        bisect.insort(self.adj[u], new[0])
+        bisect.insort(self.adj[v], new[-1])
         return new
 
     def edges(self) -> list[Chamber]:
@@ -168,9 +212,13 @@ class ChamberGraph:
         None for a vertex farther than ``limit`` or unreachable.  Every
         single- and multi-source distance table of this module comes from
         here.  All-pairs questions go to ``balls``; only the ``add_path``
-        guard (``_ball``, whose cost is the ball's, not the graph's) and
-        ``girth`` (its BFS sees ids >= the source and stops early) search
-        on their own.
+        guard of a single join (``_ball``, whose cost is the ball's, not
+        the graph's) and ``girth`` (its BFS sees ids >= the source and
+        stops early) search on their own.  The joins that ``bar_step``
+        and ``_census_saturation`` read off one snapshot need no search:
+        a path of length L = 2n - d on a pair at distance d in {n, n+1}
+        closes a cycle shorter than 2n only with an earlier path of the
+        batch on the same pair (``_join_snapshot``).
         """
         adj = self.adj
         dist: list[int | None] = [None] * self.num_vertices
@@ -395,6 +443,32 @@ def _set_bits(x: int, start: int) -> Iterator[int]:
     return compress(count(start), bin(x)[:1:-1].encode().translate(_BIT))
 
 
+class _PairSequence(Sequence):
+    """The pairs (u, v) with v a set bit of ``masks[u]``, in sorted order.
+
+    Nothing is built per pair: a per-vertex prefix sum of popcounts finds
+    the u of an index by bisection, and the bits of ``masks[u]`` its v.
+    """
+
+    def __init__(self, masks: list[int]):
+        self.masks = masks
+        self.ends = list(accumulate(mask.bit_count() for mask in masks))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, i: int) -> Chamber:
+        if not 0 <= i < len(self):
+            raise IndexError("pair index out of range")
+        u = bisect.bisect_right(self.ends, i)
+        k = i - (self.ends[u - 1] if u else 0)
+        return u, next(islice(_set_bits(self.masks[u], 0), k, None))
+
+    def __iter__(self) -> Iterator[Chamber]:
+        for u, mask in enumerate(self.masks):
+            yield from zip(repeat(u), _set_bits(mask, 0))
+
+
 def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
     """Complete far vertex pairs by fresh arcs; returns the grown copy.
 
@@ -406,35 +480,34 @@ def bar_step(g: ChamberGraph, cap: int = 64) -> ChamberGraph:
     and the skipped pairs of each kind.  Both pair lists, in (u, v) order
     with u < v, are read off the balls of radii n-1, n and n+1 of
     ``ChamberGraph.balls``: v is at distance n+1 from u when it lies in
-    the ball of radius n+1 around u but not in the one of radius n.
+    the ball of radius n+1 around u but not in the one of radius n.  Each
+    list is a ``_PairSequence`` over one mask of such v per u, so only the
+    sampled pairs are ever built.  The joins go to
+    ``ChamberGraph._join_snapshot``: no two share a pair and every one has
+    d + L = 2n, so its girth rule passes them without a search.
     """
     g2 = g.copy()
     n = g2.n
-    far: list[Chamber] = []
-    near: list[Chamber] = []
+    far = [0] * g2.num_vertices
+    near = [0] * g2.num_vertices
     for block, ladder in g2.balls():
         inner, mid, outer = islice(ladder, n - 1, n + 2)
         for u in range(block.stop - 1):
+            # bits of the v in the block with v > u, placed at bit v
             skip = max(u + 1 - block.start, 0)
-            start = block.start + skip
-            far.extend(zip(repeat(u), _set_bits((outer[u] & ~mid[u]) >> skip, start)))
-            near.extend(zip(repeat(u), _set_bits((mid[u] & ~inner[u]) >> skip, start)))
-    # blocks emit their pairs u by u, so a second block interleaves the first
-    far.sort()
-    near.sort()
+            far[u] |= (outer[u] & ~mid[u]) >> skip << (block.start + skip)
+            near[u] |= (mid[u] & ~inner[u]) >> skip << (block.start + skip)
 
-    def pick(pairs: list[Chamber]) -> tuple[list[Chamber], int]:
+    def pick(pairs: _PairSequence) -> tuple[list[Chamber], int]:
         if len(pairs) <= cap:
-            return pairs, 0
+            return list(pairs), 0
         chosen = sorted(g2.rng.sample(pairs, cap))
         return chosen, len(pairs) - cap
 
-    far_chosen, far_skipped = pick(far)
-    near_chosen, near_skipped = pick(near)
-    for u, v in far_chosen:
-        g2.add_path(u, v, n - 1)
-    for u, v in near_chosen:
-        g2.add_path(u, v, n)
+    far_chosen, far_skipped = pick(_PairSequence(far))
+    near_chosen, near_skipped = pick(_PairSequence(near))
+    g2._join_snapshot([(u, v, n + 1) for u, v in far_chosen]
+                      + [(u, v, n) for u, v in near_chosen])
     g2.log.append(
         {
             "op": "bar",
@@ -572,14 +645,18 @@ def ball_intersection_census(
     radii: list[int],
     l: int,
 ) -> int:
-    """Number of type-l vertices within distance radii[i] of every chamber."""
+    """Number of type-l vertices within distance radii[i] of every chamber.
+
+    Each chamber's BFS stops at its radius."""
     if l not in (1, 2):
         raise InvalidParameterError("grassmannian index must be 1 or 2")
     if len(chambers) != len(radii):
         raise InvalidParameterError("one radius per chamber required")
-    tables = [g.chamber_distances(g.check_chamber(c)) for c in chambers]
+    if any(r < 0 for r in radii):
+        raise InvalidParameterError("radii must be nonnegative")
+    tables = [g.distances(*g.check_chamber(c), limit=r) for c, r in zip(chambers, radii)]
     return sum(1 for v in range(g.num_vertices) if g.types[v] == l
-               and all(t[v] is not None and t[v] <= r for t, r in zip(tables, radii)))
+               and all(t[v] is not None for t in tables))
 
 
 @dataclass
@@ -600,7 +677,8 @@ def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> Cham
     a chamber endpoint, so one BFS to depth n+1 from each endpoint reads
     all their distances, and also the pool: a vertex is within n+1 of a
     chamber when it is within n+1 of one of its endpoints.  The joins run
-    in sorted pair order.
+    in sorted pair order through ``ChamberGraph._join_snapshot``, one per
+    pair, so none is refused and no ball search runs.
     """
     n = g.n
     endpoints = {v for c in chambers for v in c}
@@ -614,8 +692,7 @@ def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> Cham
             if u != v and dist[u] in (n, n + 1):
                 pairs.add((min(u, v), max(u, v), dist[u]))
     g2 = g.copy()
-    for u, v, d in sorted(pairs):
-        g2.add_path(u, v, n - 1 if d == n + 1 else n)
+    g2._join_snapshot(sorted(pairs))
     g2.log.append({"op": "census-saturation", "joined": len(pairs)})
     return g2
 

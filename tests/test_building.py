@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -267,6 +268,71 @@ def test_add_path_accepts_girth_cycle():
     assert girth(g) == 6
 
 
+def _snapshot_joins(data, g):
+    """Joins as read off one snapshot, in both orders: pairs at distance n
+    and n+1 at their distance, unreachable pairs at the d of their parity,
+    plus repeats of drawn joins."""
+    n = g.n
+    tables = [g.distances(u) for u in range(g.num_vertices)]
+    pool = []
+    for u, v in itertools.permutations(range(g.num_vertices), 2):
+        d = tables[u][v]
+        if d is None:
+            d = n + (g.types[u] + g.types[v] - n) % 2
+        if d in (n, n + 1):
+            pool.append((u, v, d))
+    if not pool:
+        return []
+    joins = data.draw(st.lists(st.sampled_from(pool), max_size=10))
+    repeats = data.draw(st.lists(st.sampled_from(joins), max_size=4)) if joins else []
+    return data.draw(st.permutations(joins + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), g=bipartite_graphs())
+def test_snapshot_joins_match_sequential_add_path(data, g):
+    joins = _snapshot_joins(data, g)
+    seq = g.copy()
+    refused = None
+    for k, (u, v, d) in enumerate(joins):
+        try:
+            seq.add_path(u, v, 2 * g.n - d)
+        except VerificationError as exc:
+            refused = k, str(exc)
+            break
+    if refused is None:
+        g._join_snapshot(joins)
+        assert (g.types, g.adj) == (seq.types, seq.adj)
+        return
+    k, message = refused
+    types, adj = list(g.types), [list(a) for a in g.adj]
+    with pytest.raises(VerificationError) as exc:
+        g._join_snapshot(joins)
+    assert str(exc.value) == message
+    assert (g.types, g.adj) == (types, adj)
+    g._join_snapshot(joins[:k])  # the refused join is the first one refused
+    assert (g.types, g.adj) == (seq.types, seq.adj)
+
+
+def test_snapshot_joins_check_every_join_first():
+    g = ChamberGraph.apartment(3)
+    pendant = g.add_vertex(2)
+    g.add_edge(0, pendant)  # d(pendant, 3) = 4 = n + 1
+    before = json.dumps(g.to_json())
+    bad = [
+        ([(pendant, 3, 4), (3, pendant, 4)], VerificationError, "close a 4-cycle < 6"),
+        ([(0, 3, 3), (0, 2, 2)], InvalidParameterError, "join distance 2 outside 3..4"),
+        ([(0, 3, 3), (0, 3, 4)], InvalidParameterError, "incompatible"),
+    ]
+    for joins, error, message in bad:
+        with pytest.raises(error, match=message):
+            g._join_snapshot(joins)
+        assert json.dumps(g.to_json()) == before
+    g._join_snapshot([(0, 3, 3), (3, 0, 3), (pendant, 3, 4)])  # two antipodal 3-paths
+    assert g.num_vertices == 7 + 2 + 2 + 1
+    assert girth(g) == 6
+
+
 def test_json_roundtrip_and_schema():
     g = ChamberGraph.apartment(3, seed=5)
     doc = g.to_json()
@@ -506,6 +572,22 @@ def test_bar_step_cap_reports_skipped():
     assert json.dumps(grown.to_json()) == json.dumps(again.to_json())
 
 
+@given(masks=st.lists(st.integers(0, 2**70), max_size=8), k=st.integers(0, 300),
+       seed=st.integers(0, 99))
+def test_pair_sequence_is_the_sorted_pair_list(masks, k, seed):
+    pairs = building._PairSequence(masks)
+    listed = [(u, v) for u, mask in enumerate(masks)
+              for v in range(mask.bit_length()) if mask >> v & 1]
+    assert len(pairs) == len(listed)
+    assert list(pairs) == listed
+    assert [pairs[i] for i in range(len(pairs))] == listed
+    with pytest.raises(IndexError):
+        pairs[len(pairs)]
+    k = min(k, len(listed))
+    # sample copies a population short against k and indexes a long one
+    assert random.Random(seed).sample(pairs, k) == random.Random(seed).sample(listed, k)
+
+
 # -- pods ----------------------------------------------------------------------
 
 
@@ -625,6 +707,8 @@ def test_census_needs_one_radius_per_chamber():
         census_rounds(g, chambers, [1, 1, 1], 1)
     with pytest.raises(InvalidParameterError, match="one radius per chamber"):
         ball_intersection_census(g, chambers, [1], 1)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        ball_intersection_census(g, chambers, [2, -1], 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -735,7 +819,8 @@ def test_census_saturation_matches_oracle():
     # the census suite's tuples, before and after one pod round
     joined = 0
     for n in (3, 4, 5):
-        for seed, m in ((2, 2), (11, 2), (11, 3)):
+        sizes = ((2, 2), (11, 2), (11, 3)) + (((11, 4),) if n < 5 else ())
+        for seed, m in sizes:
             tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=seed), m)
             podded = attach_mpod(tup.graph, tup.chambers, [n - 1] * m, 1).graph
             for g in (tup.graph, podded):
@@ -745,6 +830,37 @@ def test_census_saturation_matches_oracle():
                     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
                     joined += want.log[-1]["joined"]
     assert joined > 0
+
+
+# census_rounds at n = 5, m = 4 on the census suite's tuple (apartment seed
+# 11): counts, outcome and the sha256 of the final graph's JSON.  Three
+# saturation cases per l share one graph, since saturation ignores the radii.
+CENSUS_N5_M4_PINS = [
+    ((1, 1, 1, 1), 1, [0, 0, 0, 0], "0",
+     "027fedfc4d67846357a8a13b52a4aad245c2f99e4d91353cf691e4c9612643cd"),
+    ((1, 1, 1, 1), 2, [0, 0, 0, 0], "0",
+     "6f2599f5447b7afd476e3abda93e729829ed3b33d368d9196cdd1be27d94a1f1"),
+    ((1, 3, 4, 4), 1, [0, 1, 1, 1], "1",
+     "027fedfc4d67846357a8a13b52a4aad245c2f99e4d91353cf691e4c9612643cd"),
+    ((1, 3, 4, 4), 2, [0, 1, 1, 1], "1",
+     "6f2599f5447b7afd476e3abda93e729829ed3b33d368d9196cdd1be27d94a1f1"),
+    ((2, 2, 4, 4), 1, [0, 1, 1, 1], "1",
+     "027fedfc4d67846357a8a13b52a4aad245c2f99e4d91353cf691e4c9612643cd"),
+    ((2, 2, 4, 4), 2, [0, 0, 1, 1], "1",
+     "6f2599f5447b7afd476e3abda93e729829ed3b33d368d9196cdd1be27d94a1f1"),
+    ((4, 4, 4, 4), 1, [4, 5, 6, 7], "growing",
+     "fac7ccb38c175e49dbb9d8b010647fa6c9cd3dbedb41483211b8c1abb5f0614f"),
+    ((4, 4, 4, 4), 2, [0, 1, 2, 3], "growing",
+     "8af3502dcae108bd08290a6a37554ba54259a98f066ed3baeede801a2db34a96"),
+]
+
+
+@pytest.mark.parametrize("radii,l,counts,outcome,pin", CENSUS_N5_M4_PINS)
+def test_census_rounds_pinned_at_n5_m4(radii, l, counts, outcome, pin):
+    tup = find_antipodal_tuple(ChamberGraph.apartment(5, seed=11), 4)
+    out = census_rounds(tup.graph, tup.chambers, list(radii), l)
+    assert (out.counts, out.outcome) == (counts, outcome)
+    assert hashlib.sha256(json.dumps(out.graph.to_json()).encode()).hexdigest() == pin
 
 
 def test_census_csv_format():
