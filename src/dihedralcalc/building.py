@@ -5,12 +5,13 @@ level of its vertex-edge graph, a bipartite graph of girth at least 2n in
 which any two elements lie at distance at most n.  This module grows such
 graphs from a seed 2n-cycle by fresh paths, and refuses any path closing a
 cycle shorter than 2n, so girth >= 2n is an invariant of growth.
-``ChamberGraph.add_path`` decides a single join by a ball search
-(``_ball``).  A batch of joins read off one distance snapshot, a pair at
-distance d in {n, n+1} getting a path of length L = 2n - d, is decided
-without one by ``ChamberGraph._join_snapshot``: a new cycle through such
-a path is shorter than 2n exactly when an earlier path of the batch on
-the same pair has L_j + L_i < 2n.  Two free operations are built on it:
+``ChamberGraph.add_path`` decides a single join by one bounded BFS
+(``ChamberGraph.distances``).  A batch of joins read off one distance
+snapshot, a pair at distance d in {n, n+1} getting a path of length
+L = 2n - d, is decided without one by ``ChamberGraph._join_snapshot``: a
+new cycle through such a path is shorter than 2n exactly when an earlier
+path of the batch on the same pair has L_j + L_i < 2n.  Two free
+operations are built on it:
 
 * ``bar_step`` completes distance-(n+1) and distance-n vertex pairs by
   fresh arcs, pushing the diameter toward n without ever creating a cycle
@@ -99,7 +100,7 @@ class ChamberGraph:
         g = ChamberGraph(self.n, self.seed)
         g.types = list(self.types)
         g.adj = [list(a) for a in self.adj]
-        g.log = _copy.deepcopy(self.log)
+        g.log = list(self.log)  # entries are never mutated once appended
         g.rng.setstate(self.rng.getstate())
         return g
 
@@ -129,11 +130,9 @@ class ChamberGraph:
 
         Its shortest new cycle has length ``length + d(u, v)``, so the path
         is refused, before any mutation, exactly when d(u, v) <= lim with
-        lim = 2n-1-length.  The graph is bipartite, so d(u, v) has the
-        parity of ``length`` and never equals lim: balls of radii summing to
-        lim-1, ceil((lim-1)/2) around u and floor((lim-1)/2) around v, meet
-        exactly then, and the least d(u, x) + d(v, x) over their
-        intersection is d(u, v).  No search runs when lim < 1.
+        lim = 2n-1-length: one bounded BFS from u to depth lim decides it.
+        No search runs when lim < 1, so a closed path from u back to u of
+        length >= 2n is accepted.
         """
         if length < 1:
             raise InvalidParameterError("path length must be positive")
@@ -141,9 +140,7 @@ class ChamberGraph:
             raise InvalidParameterError("path length incompatible with endpoint types")
         lim = 2 * self.n - 1 - length
         if lim >= 1:
-            near = self._ball(u, lim // 2)
-            far = self._ball(v, (lim - 1) // 2)
-            d = min((near[x] + dx for x, dx in far.items() if x in near), default=None)
+            d = self.distances(u, limit=lim)[v]
             if d is not None:
                 raise VerificationError(f"path would close a {length + d}-cycle < {2 * self.n}")
         return self._lay_path(u, v, length)
@@ -211,14 +208,13 @@ class ChamberGraph:
 
         None for a vertex farther than ``limit`` or unreachable.  Every
         single- and multi-source distance table of this module comes from
-        here.  All-pairs questions go to ``balls``; only the ``add_path``
-        guard of a single join (``_ball``, whose cost is the ball's, not
-        the graph's) and ``girth`` (its BFS sees ids >= the source and
-        stops early) search on their own.  The joins that ``bar_step``
-        and ``_census_saturation`` read off one snapshot need no search:
-        a path of length L = 2n - d on a pair at distance d in {n, n+1}
-        closes a cycle shorter than 2n only with an earlier path of the
-        batch on the same pair (``_join_snapshot``).
+        here, the ``add_path`` guard of a single join included.  All-pairs
+        questions go to ``balls``; only ``girth`` (its BFS sees ids >= the
+        source and stops early) searches on its own.  The joins that
+        ``bar_step`` and ``_census_saturation`` read off one snapshot need
+        no search: a path of length L = 2n - d on a pair at distance d in
+        {n, n+1} closes a cycle shorter than 2n only with an earlier path
+        of the batch on the same pair (``_join_snapshot``).
         """
         adj = self.adj
         dist: list[int | None] = [None] * self.num_vertices
@@ -262,20 +258,6 @@ class ChamberGraph:
         for lo in range(0, len(adj), BALL_BLOCK):
             block = range(lo, min(lo + BALL_BLOCK, len(adj)))
             yield block, ladder(block)
-
-    def _ball(self, src: int, radius: int) -> dict[int, int]:
-        """Distances from src of the vertices within ``radius`` of it."""
-        ball = {src: 0}
-        frontier = [src]
-        for depth in range(1, radius + 1):
-            nxt = []
-            for x in frontier:
-                for y in self.adj[x]:
-                    if y not in ball:
-                        ball[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        return ball
 
     def shortest_path(self, u: int, v: int) -> list[int] | None:
         """A shortest u-v path, None when v is unreachable from u.
@@ -323,8 +305,9 @@ class ChamberGraph:
     def from_json(cls, doc: dict) -> "ChamberGraph":
         """Inverse of ``to_json``; a malformed document raises InvalidParameterError.
 
-        Numbers must be JSON integers, and the graph must have girth >= 2n,
-        the invariant that ``add_path`` keeps for grown graphs.
+        Numbers must be JSON integers, the log a list of JSON objects, and
+        the graph must have girth >= 2n, the invariant that ``add_path``
+        keeps for grown graphs.
         """
         try:
             g = cls(json_int(doc["n"], "n"), json_int(doc.get("seed", 0), "seed"))
@@ -338,7 +321,10 @@ class ChamberGraph:
                 if not (0 <= u < g.num_vertices and 0 <= v < g.num_vertices):
                     raise InvalidParameterError(f"edge ({u}, {v}) has an unknown vertex")
                 g.add_edge(u, v)
-            g.log = _copy.deepcopy(doc.get("log", []))
+            log = doc.get("log", [])
+            if type(log) is not list or any(type(e) is not dict for e in log):
+                raise TypeError("log must be a list of JSON objects")
+            g.log = _copy.deepcopy(log)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed graph document: {exc!r}") from exc
         shortest = girth(g)
@@ -573,10 +559,11 @@ def attach_mpod(
         # endpoint of type t with t = center_type + r mod 2 keeps the path bipartite
         target = x1 if (1 + center_type + r) % 2 == 0 else x2
         g2.add_path(center, target, r)
+    dist = g2.distances(center)
     for (x1, x2), r in zip(chambers, radii):
-        dist = g2.chamber_distances((x1, x2))
-        if dist[center] != r:
-            raise VerificationError(f"pod center landed at distance {dist[center]} != {r}")
+        d = min(dist[x1], dist[x2])
+        if d != r:
+            raise VerificationError(f"pod center landed at distance {d} != {r}")
     g2.log.append(
         {
             "op": "pod",
@@ -678,7 +665,7 @@ def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> Cham
     all their distances, and also the pool: a vertex is within n+1 of a
     chamber when it is within n+1 of one of its endpoints.  The joins run
     in sorted pair order through ``ChamberGraph._join_snapshot``, one per
-    pair, so none is refused and no ball search runs.
+    pair, so none is refused and no search runs.
     """
     n = g.n
     endpoints = {v for c in chambers for v in c}

@@ -522,22 +522,12 @@ class FieldElement:
         num = self.num
         if self.descr.degree == 1:
             return 1 if num[0] > 0 else -1
-        # float fast path; the margin is approx's proven bound for den = 1,
-        # without its underflow term: no term underflows, since |c| >= 1 and
-        # theta = 2cos(2pi/N) > 0.6 once the degree is 2 or more
-        try:
-            descr = self.descr
-            th = descr._theta_float
-            val, mag, p = 0.0, 0.0, 1.0
-            for c in num:
-                cf = float(c)
-                val += cf * p
-                mag += abs(cf) * abs(p)
-                p *= th
-            if abs(val) > descr._float_rel * mag:
-                return 1 if val > 0 else -1
-        except OverflowError:
-            pass
+        # float filter: approx's float f is within its proven bound r of
+        # the element, so r < |f| < inf decides the sign (an element beyond
+        # the float range gives (nan, inf) and falls through)
+        f, r = approx(self)
+        if r < abs(f) < inf:
+            return 1 if f > 0 else -1
         prec = 64
         while prec <= 4096:
             iv = mpmath.iv

@@ -1,9 +1,9 @@
 """Exact linear programming over an ordered field.
 
-A small two-phase tableau simplex used by the cone audits.  The value type
-is that of the ``zero`` the caller passes: Fraction(0) or a field's zero.
-Bland's rule picks both the entering and the leaving variable, so the
-exact iteration cannot cycle.
+A small two-phase tableau simplex used by the cone audits.  Values live in
+the field of the ``zero`` the caller passes, whose arithmetic coerces int
+and Fraction entries.  Bland's rule picks both the entering and the
+leaving variable, so the exact iteration cannot cycle.
 
 Solves  max c.x  subject to  A x <= b, x >= 0  and reports one of
 "optimal" (with a vertex witness and row multipliers), "unbounded", or
@@ -18,9 +18,9 @@ stops without an optimal basis or its basis fails a check, the exact
 tableau solves from a cold start.  Either way the answer comes from one
 place: ``_certify`` solves the final basis system once in the field and
 checks that the basic solution is primal feasible (x_B >= 0) and dual
-feasible (y >= 0, y.A >= c).  Over a field, each column of y.A >= c is
-signed by ``field.dot_sign``: in floats where the image's error bounds
-prove the sign, else by one exact ``field.dot``.  A certified basis is
+feasible (y >= 0, y.A >= c).  Each column of y.A >= c is signed by
+``field.dot_sign``: in floats where the image's error bounds prove the
+sign, else by one exact ``field.dot``.  A certified basis is
 optimal by LP duality, so a wrong float answer costs time and never
 changes a result, and an exact basis that fails the check raises
 VerificationError (Applegate, Cook, Dash & Espinoza, "Exact solutions to
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidParameterError, VerificationError
-from .field import (FieldElement, approx as approx_value, approx_vector, dot,
-                    dot_sign)
+from .field import approx as approx_value, approx_vector, dot, dot_sign
 
 
 @dataclass
@@ -291,7 +290,7 @@ def _certify(rows, rhs, cvec, basis, zero, one,
         col = [rows[i][j] for i in support] + [c]
         col_image = ([vals[i][j] for i in support] + [cf],
                      [errs[i][j] for i in support] + [ce])
-        if _dot_sign(ys, col, zero, y_image, col_image) < 0:
+        if dot_sign(ys, col, zero, y_image, col_image) < 0:
             return None
     return x, y
 
@@ -324,47 +323,24 @@ def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence,
     for row in rows:
         if len(row) != d:
             raise InvalidParameterError("row width must match objective")
-    one = zero + 1
-    kind = zero.__class__  # values of zero's type need no coercion
-    cvec = [c if c.__class__ is kind else c + zero for c in objective]
+    one = zero.descr.one
 
     if approx is None:
         approx = float_image(rows)
-    found = _float_basis(approx[0], rhs, cvec)
+    found = _float_basis(approx[0], rhs, objective)
     certified = None
     if found is not None:
         basis, pivots = found
-        certified = _certify(rows, rhs, cvec, basis, zero, one, approx)
+        certified = _certify(rows, rhs, objective, basis, zero, one, approx)
     if certified is None:
         t = _Tableau(rows, rhs, d, zero, one)
-        status = t.solve(cvec)
+        status = t.solve(objective)
         if status != "optimal":
             return LPResult(status, iterations=t.iterations)
         pivots = t.iterations
-        certified = _certify(rows, rhs, cvec, t.basis, zero, one, approx)
+        certified = _certify(rows, rhs, objective, t.basis, zero, one, approx)
         if certified is None:
             raise VerificationError(
                 "exact simplex basis failed its optimality check")
     x, dual = certified
-    return LPResult("optimal", _dot(cvec, x, zero), x, dual, pivots)
-
-
-def _dot_sign(xs, ys, zero, x_image, y_image) -> int:
-    """The sign of sum(x * y): ``field.dot_sign``, which tries the float
-    images first, over a field; the exact sum for Fraction."""
-    if isinstance(zero, FieldElement):
-        return dot_sign(xs, ys, zero, x_image, y_image)
-    total = _dot(xs, ys, zero)
-    return (total > zero) - (total < zero)
-
-
-def _dot(xs, ys, zero):
-    """sum(x * y) without the zero terms: one ``field.dot`` over a field,
-    a plain loop for Fraction and other value types."""
-    if isinstance(zero, FieldElement):
-        return dot(xs, ys, zero)
-    total = zero
-    for a, b in zip(xs, ys):
-        if a and b:
-            total = total + a * b
-    return total
+    return LPResult("optimal", dot(objective, x, zero), x, dual, pivots)

@@ -268,6 +268,17 @@ def test_add_path_accepts_girth_cycle():
     assert girth(g) == 6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_add_path_closed_loops(n):
+    # a loop of length 2n has lim < 1 and runs no search; one of 2n - 2 has
+    # lim = 1, and d(0, 0) = 0 refuses it
+    g = ChamberGraph.apartment(n)
+    assert len(g.add_path(0, 0, 2 * n)) == 2 * n - 1
+    assert girth(g) == 2 * n
+    with pytest.raises(VerificationError, match=f"close a {2 * n - 2}-cycle < {2 * n}"):
+        g.add_path(0, 0, 2 * n - 2)
+
+
 def _snapshot_joins(data, g):
     """Joins as read off one snapshot, in both orders: pairs at distance n
     and n+1 at their distance, unreachable pairs at the d of their parity,
@@ -366,16 +377,35 @@ def test_json_roundtrip_and_schema():
         lambda d: d["vertices"][1].update(id=1.0),
         lambda d: d["edges"].__setitem__(0, [0.9, 1.2]),
         lambda d: d["edges"].append([0, 3]),  # closes a 4-cycle at n = 3
+        lambda d: d.update(log=5),
+        lambda d: d.update(log={"op": "x"}),
+        lambda d: d.update(log="abc"),
+        lambda d: d.update(log=[5]),
     ],
     ids=["no-vertices", "no-n", "vertices-int", "short-edge", "n-str", "edge-high", "edge-neg",
          "n-float", "n-numeric-str", "seed-float", "type-float", "type-bool", "id-float",
-         "edge-float", "four-cycle"],
+         "edge-float", "four-cycle", "log-int", "log-object", "log-str", "log-entry-int"],
 )
 def test_from_json_rejects_malformed(mangle):
     doc = ChamberGraph.apartment(3).to_json()
     mangle(doc)
     with pytest.raises(InvalidParameterError):
         ChamberGraph.from_json(doc)
+
+
+@pytest.mark.parametrize("grow", [
+    lambda g, ch: bar_step(g, cap=3),
+    lambda g, ch: attach_mpod(g, ch[:2], [2, 2], 1),
+    lambda g, ch: _census_saturation(g, ch, 1),
+    lambda g, ch: find_antipodal_tuple(g, 4),
+], ids=["bar_step", "attach_mpod", "census_saturation", "find_antipodal_tuple"])
+def test_growth_leaves_the_input_log_alone(grow):
+    # copies share the log's entries, so no growth step may touch them
+    tup = find_antipodal_tuple(ChamberGraph.apartment(4, seed=5), 3)
+    before = json.loads(json.dumps(tup.graph.log))
+    grown = grow(tup.graph, tup.chambers)
+    assert tup.graph.log == before
+    assert len(getattr(grown, "graph", grown).log) > len(before)
 
 
 def test_copy_preserves_rng_state():

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc import lp
 from dihedralcalc.errors import VerificationError
-from dihedralcalc.field import field_init, real_cyclotomic
+from dihedralcalc.field import dot_sign, field_init, real_cyclotomic
 from dihedralcalc.lp import LPResult, lp_solve
 
 F = Fraction
-ZERO = F(0)
+ZERO = real_cyclotomic(6).zero  # degree 1: the filtered sign path of production
 
 
 def test_two_var_vertex():
@@ -109,6 +109,20 @@ def test_dual_certificate_with_negated_row():
     assert res.optimum == 9
     assert res.witness == [1, 4]
     _check_dual(rows, rhs, obj, res)
+
+
+def test_certificate_signs_columns_through_dot_sign(monkeypatch):
+    # max x s.t. x + y <= 1: y is nonbasic, so its column y.A >= c is signed
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dot_sign(*args)
+
+    monkeypatch.setattr(lp, "dot_sign", counted)
+    res = lp_solve([[1, 1]], [1], [1, 0], zero=ZERO)
+    assert res.status == "optimal" and res.optimum == 1
+    assert len(calls) == 1
 
 
 def test_field_element_coefficients():
