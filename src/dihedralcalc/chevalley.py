@@ -63,9 +63,6 @@ class KacMoodyContext:
 
     # -- products ---------------------------------------------------------------
 
-    def x_class(self, w: WeylElement) -> Element:
-        return {w: self.descr.one}
-
     def mul_by_generator(self, x: Element, i: int) -> Element:
         """Multiply by [X_{s_i}] one basis class at a time."""
         if i not in (1, 2):
@@ -107,15 +104,15 @@ class KacMoodyContext:
 
     def mul_basis(self, u: WeylElement, v: WeylElement) -> Element:
         if v.length == 0:
-            return self.x_class(u)
+            return self.algebra.sigma(u)
         if u.length == 0:
-            return self.x_class(v)
+            return self.algebra.sigma(v)
         n = self.group.n
         if n is not None and v.length == n:
             return {}  # u is not the unit here, so the degree overflows
         if v.side is None:
             raise InvalidParameterError(f"non-canonical element {v}")
-        acc = self.x_class(u)
+        acc = self.algebra.sigma(u)
         for _ in range(v.length):
             acc = self.mul_by_generator(acc, v.side)
         scale = self.generator_power_scale(v)
@@ -191,18 +188,17 @@ class KacMoodyContext:
                 if self.group.n is None and u.length + v.length > self.cap:
                     continue
                 lhs = self.iso_map(self.mul_basis(u, v), c1, c2)
-                rhs = alg.mul(self.iso_map(self.x_class(u), c1, c2),
-                              self.iso_map(self.x_class(v), c1, c2))
+                rhs = alg.mul(self.iso_map(self.algebra.sigma(u), c1, c2),
+                              self.iso_map(self.algebra.sigma(v), c1, c2))
                 checked += 1
                 if not alg.equal(lhs, rhs):
                     return IsoReport(False, checked, (u, v, lhs, rhs))
         for i in (1, 2):
             for j in (1, 2):
+                x = self.algebra.sigma(WeylElement(1, j))
                 lhs = self.iso_map(
-                    self.weyl_action_gen_degree_one(i, self.x_class(WeylElement(1, j))),
-                    c1, c2)
-                rhs = alg.weyl_action_gen(
-                    i, self.iso_map(self.x_class(WeylElement(1, j)), c1, c2))
+                    self.weyl_action_gen_degree_one(i, x), c1, c2)
+                rhs = alg.weyl_action_gen(i, self.iso_map(x, c1, c2))
                 checked += 1
                 if not alg.equal(lhs, rhs):
                     return IsoReport(False, checked, ((i, j), lhs, rhs))

@@ -165,9 +165,10 @@ class FieldDescriptor:
         # latter for underflow; see approx
         self._float_rel = 4 * (self.degree + 2) * _U
         self._float_eta = ldexp(1.0, self.degree - 1070)
-        self._two_cos_cache: dict[int, FieldElement] = {}
-        self._t_numbers: list[FieldElement] = []
-        self._q_numbers: list[FieldElement] = []
+        # _recurrence seeds of 2*cos(2*pi*k/N), [k]_t and [k]_q
+        self._two_cos = [self.from_rational(2), self.theta]
+        self._t_numbers = [self.zero, self.one]
+        self._q_numbers = [self.zero, self.one]
         self._binom_cache: dict[tuple[int, int], FieldElement] = {}
 
     # -- construction checks ------------------------------------------------
@@ -237,21 +238,8 @@ class FieldDescriptor:
         if self.mode != "cyclotomic":
             raise UnsupportedModeError("angles exist only in cyclotomic mode")
         k = k % self.N
-        k = min(k, self.N - k)
-        cached = self._two_cos_cache.get(k)
-        if cached is None:
-            # D_k(theta) with D defined by D_k(x + 1/x) = x^k + x^(-k)
-            if k == 0:
-                cached = self.from_rational(2)
-            elif k == 1:
-                cached = self.theta
-            else:
-                prev, cur = self.from_rational(2), self.theta
-                for _ in range(k - 1):
-                    prev, cur = cur, self.theta * cur - prev
-                cached = cur
-            self._two_cos_cache[k] = cached
-        return cached
+        # D_k(theta) with D defined by D_k(x + 1/x) = x^k + x^(-k)
+        return _recurrence(self._two_cos, self.theta, min(k, self.N - k))
 
     # -- serialization ----------------------------------------------------------
 
@@ -296,8 +284,11 @@ def field_init(n: int | None = None, *, t: Rational | None = None) -> FieldDescr
             _DESCRIPTORS[key] = FieldDescriptor(
                 "cyclotomic", n=n, N=4 * n, _token=_DESCR_TOKEN)
         return _DESCRIPTORS[key]
-    tq = Fraction(t)
-    if tq <= 0:
+    try:
+        tq = Fraction(t)
+    except (TypeError, ValueError, OverflowError):  # 'abc', nan, inf, [1]
+        tq = None
+    if tq is None or tq <= 0:
         raise InvalidParameterError("t must be a positive rational")
     key = ("hyperbolic", tq)
     if key not in _DESCRIPTORS:
@@ -789,6 +780,14 @@ def _coerced(zero: FieldElement, value) -> FieldElement:
 # t-numbers, q-numbers, binomials
 # ---------------------------------------------------------------------------
 
+def _recurrence(seq: list, step: FieldElement, k: int) -> FieldElement:
+    """seq[k], extending seq by x_{j+1} = step * x_j - x_{j-1} first: the
+    Chebyshev-type recurrence behind two_cos, t_number and q_number."""
+    while k >= len(seq):
+        seq.append(step * seq[-1] - seq[-2])
+    return seq[k]
+
+
 def t_plus_t_inv(descr: FieldDescriptor) -> FieldElement:
     """t + 1/t: equals theta**2 - 2 in cyclotomic mode, theta in hyperbolic."""
     if descr.mode == "hyperbolic":
@@ -815,14 +814,9 @@ def t_number(descr: FieldDescriptor, k: int) -> FieldElement:
     """The t-integer [k]_t = (t^k - t^-k)/(t - 1/t)."""
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    cache = descr._t_numbers
-    if not cache:
-        cache.extend([descr.zero, descr.one])
-    if k >= len(cache):
-        mult = t_plus_t_inv(descr)
-        while k >= len(cache):
-            cache.append(mult * cache[-1] - cache[-2])
-    return cache[k]
+    if k < len(descr._t_numbers):  # a descriptor without t answers 0 and 1
+        return descr._t_numbers[k]
+    return _recurrence(descr._t_numbers, t_plus_t_inv(descr), k)
 
 
 def t_factorial(descr: FieldDescriptor, k: int) -> FieldElement:
@@ -893,13 +887,7 @@ def q_number(descr: FieldDescriptor, k: int) -> FieldElement:
         raise InvalidParameterError("k must be nonnegative")
     if descr.n is None:
         raise UnsupportedModeError("descriptor has no t-structure")
-    cache = descr._q_numbers
-    if not cache:
-        cache.extend([descr.zero, descr.one])
-    if k >= len(cache):
-        while k >= len(cache):
-            cache.append(descr.theta * cache[-1] - cache[-2])
-    return cache[k]
+    return _recurrence(descr._q_numbers, descr.theta, k)
 
 
 def q_number_squared(descr: FieldDescriptor, k: int) -> FieldElement:

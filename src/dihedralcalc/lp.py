@@ -18,7 +18,10 @@ stops without an optimal basis or its basis fails a check, the exact
 tableau solves from a cold start.  Either way the answer comes from one
 place: ``_certify`` solves the final basis system once in the field and
 checks that the basic solution is primal feasible (x_B >= 0) and dual
-feasible (y >= 0, y.A >= c).  Each column of y.A >= c is signed by
+feasible (y >= 0, y.A >= c).  Both tableaus keep b as the last column of
+each row, and a pivot is the elimination step, ``_eliminate``, that the
+certificate runs on its basis block; the certificate's x, slack residuals
+and y are ``field.dot`` products.  Each column of y.A >= c is signed by
 ``field.dot_sign``: in floats where the image's error bounds prove the
 sign, else by one exact ``field.dot``.  A certified basis is
 optimal by LP duality, so a wrong float answer costs time and never
@@ -46,8 +49,25 @@ class LPResult:
     iterations: int = 0
 
 
+def _eliminate(rows: list, i: int, j: int, one) -> None:
+    """One Gauss-Jordan step: scale rows[i] to a unit pivot in column j and
+    clear column j from every other row.  Zero entries are skipped, and a
+    row shorter than rows[i] is updated over its own length."""
+    row = rows[i]
+    inv = one / row[j]
+    if inv != one:
+        row[:] = [v * inv if v else v for v in row]
+    for k, rk in enumerate(rows):
+        f = rk[j]
+        if f and k != i:
+            rk[:] = [a - f * c if c else a for a, c in zip(rk, row)]
+
+
 class _Tableau:
-    """Dense simplex tableau; columns = structural + slack (+ artificial)."""
+    """Dense simplex tableau; columns = structural + slack (+ artificial),
+    then b as the last column of each row.  A pivot is one ``_eliminate``
+    step, the one ``_certify`` runs on its basis block, over the rows and
+    the reduced costs, which have no entry for b."""
 
     def __init__(self, rows, rhs, d, zero, one):
         self.zero = zero
@@ -56,7 +76,6 @@ class _Tableau:
         self.m = len(rows)
         self.iterations = 0
         self.rows: list[list] = []
-        self.b: list = []
         self.basis: list[int] = []
         self.artificial_start = d + self.m
         artificials = []  # rows with a negative rhs, negated to b >= 0
@@ -73,33 +92,16 @@ class _Tableau:
             else:
                 slack[i] = one
                 self.basis.append(d + i)
-            self.rows.append(body + slack)
-            self.b.append(bi)
-        for i, row in enumerate(self.rows):
-            row.extend([one if a == i else zero for a in artificials])
+            self.rows.append(body + slack + [bi])
+        for i, row in enumerate(self.rows):  # artificials go before b
+            row[-1:-1] = [one if a == i else zero for a in artificials]
         self.n_cols = self.artificial_start + len(artificials)
 
     # -- pivoting ------------------------------------------------------------
 
     def _pivot(self, i: int, j: int, cbar: list) -> None:
         self.iterations += 1
-        row = self.rows[i]
-        inv = self.one / row[j]
-        if inv != self.one:
-            row[:] = [v * inv if v else v for v in row]
-            self.b[i] = self.b[i] * inv
-        bi = self.b[i]
-        for k in range(self.m):
-            if k == i:
-                continue
-            f = self.rows[k][j]
-            if f:
-                rk = self.rows[k]
-                rk[:] = [a - f * c if c else a for a, c in zip(rk, row)]
-                self.b[k] = self.b[k] - f * bi
-        f = cbar[j]
-        if f:
-            cbar[:] = [a - f * c if c else a for a, c in zip(cbar, row)]
+        _eliminate(self.rows + [cbar], i, j, self.one)
         self.basis[i] = j
 
     def _run(self, cbar: list) -> str:
@@ -116,10 +118,10 @@ class _Tableau:
                 return "optimal"
             leave = -1
             best = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > tol:
-                    ratio = self.b[i] / a
+                    ratio = row[-1] / a
                     if best is None:
                         best, leave = ratio, i
                         continue
@@ -133,10 +135,9 @@ class _Tableau:
 
     def _reduced_costs(self, cost: list) -> list:
         cbar = list(cost) + [self.zero] * (self.n_cols - len(cost))
-        for i in range(self.m):
-            f = cbar[self.basis[i]]
+        for j, row in zip(self.basis, self.rows):
+            f = cbar[j]
             if f:
-                row = self.rows[i]
                 cbar[:] = [a - f * c for a, c in zip(cbar, row)]
         return cbar
 
@@ -149,10 +150,10 @@ class _Tableau:
             phase_one = [self.zero] * start + \
                 [-self.one] * (self.n_cols - start)
             self._run(self._reduced_costs(phase_one))
-            total = self.zero
-            for i in range(self.m):
-                if self.basis[i] >= start:
-                    total = total + self.b[i]
+            total = self.zero  # not sum(): from 3.12 it compensates floats
+            for j, row in zip(self.basis, self.rows):
+                if j >= start:
+                    total = total + row[-1]
             if total > self.tol:
                 return "infeasible"
             # drive leftover zero-valued artificials out of the basis; every
@@ -241,40 +242,24 @@ def _certify(rows, rhs, cvec, basis, zero, one,
         if p < 0:
             return None
         mat[c], mat[p] = mat[p], mat[c]
-        rc = mat[c]
-        inv = one / rc[c]
-        rc[:] = [v * inv if v else v for v in rc]
-        for i in range(k):
-            f = mat[i][c]
-            if i != c and f:
-                mat[i] = [a - f * v if v else a for a, v in zip(mat[i], rc)]
+        _eliminate(mat, c, c, one)
     kinv = [r[k:] for r in mat]
 
-    b = [v + zero for v in rhs]
+    b_tight = [rhs[i] for i in tight]
+    x_cols = [dot(inv_row, b_tight, zero) for inv_row in kinv]
+    if any(v < zero for v in x_cols):
+        return None
+    for i in slack_rows:  # the residual b_i - A_{i,J}.x_J of a basic slack
+        if rhs[i] - dot([rows[i][j] for j in cols], x_cols, zero) < zero:
+            return None
     x = [zero] * d
-    for j, inv_row in zip(cols, kinv):
-        v = zero
-        for a, i in zip(inv_row, tight):
-            if a and b[i]:
-                v = v + a * b[i]
-        if v < zero:
-            return None
+    for j, v in zip(cols, x_cols):
         x[j] = v
-    for i in slack_rows:
-        v = b[i]
-        for j in cols:
-            if x[j] and rows[i][j]:
-                v = v - rows[i][j] * x[j]
-        if v < zero:
-            return None
 
+    c_cols = [cvec[j] for j in cols]
     y = [zero] * m
-    for j, inv_row in zip(cols, kinv):
-        c = cvec[j]
-        if c:
-            for a, i in zip(inv_row, tight):
-                if a:
-                    y[i] = y[i] + c * a
+    for i, inv_col in zip(tight, zip(*kinv)):
+        y[i] = dot(c_cols, inv_col, zero)
     if any(v < zero for v in y):
         return None
     basic = set(cols)

@@ -245,8 +245,8 @@ def test_products_match_flag_variety_oracle(a12, a21):
 @pytest.mark.parametrize("a12,a21", ALL_PAIRS)
 def test_quadratic_relation(a12, a21):
     kms = KacMoodyContext(a12, a21)
-    x1 = kms.x_class(WeylElement(1, 1))
-    x2 = kms.x_class(WeylElement(1, 2))
+    x1 = kms.algebra.sigma(WeylElement(1, 1))
+    x2 = kms.algebra.sigma(WeylElement(1, 2))
     lhs = {}
     for w, c in bilinear(kms.mul_basis, x1, x1).items():
         lhs[w] = c * a21
@@ -260,8 +260,8 @@ def test_quadratic_relation(a12, a21):
 
 def test_degree_one_product_splits_into_both_chains():
     kms = KacMoodyContext(1, 1)
-    got = bilinear(kms.mul_basis, kms.x_class(WeylElement(1, 1)),
-                   kms.x_class(WeylElement(1, 2)))
+    got = bilinear(kms.mul_basis, kms.algebra.sigma(WeylElement(1, 1)),
+                   kms.algebra.sigma(WeylElement(1, 2)))
     assert got == {WeylElement(2, 1): kms.descr.one,
                    WeylElement(2, 2): kms.descr.one}
 
@@ -271,7 +271,7 @@ def test_generator_power_vanishes_at_group_order(a12, a21):
     n = ORDER_OF[a12 * a21]
     kms = KacMoodyContext(a12, a21)
     for i in (1, 2):
-        acc = kms.x_class(WeylElement(0, None))
+        acc = kms.algebra.sigma(WeylElement(0, None))
         for _ in range(n):
             acc = kms.mul_by_generator(acc, i)
         assert acc == {}
@@ -297,7 +297,7 @@ def test_generator_powers_match_declared_scale(a12, a21):
     n = kms.group.n
     top_len = n if n is not None else 6
     for i in (1, 2):
-        acc = kms.x_class(WeylElement(0, None))
+        acc = kms.algebra.sigma(WeylElement(0, None))
         for k in range(1, top_len):
             acc = kms.mul_by_generator(acc, i)
             w = WeylElement(k, i)
@@ -321,7 +321,7 @@ def test_mul_is_commutative(a12, a21):
 def test_mul_is_associative(a12, a21):
     kms = KacMoodyContext(a12, a21, cap=9)
     limit = kms.group.n if kms.group.n is not None else 3
-    basis = [kms.x_class(w) for w in kms.group.elements(limit)]
+    basis = [kms.algebra.sigma(w) for w in kms.group.elements(limit)]
     for x in basis:
         for y in basis:
             for z in basis:
@@ -415,7 +415,7 @@ def test_weyl_action_on_degree_one_is_an_involution():
         kms = KacMoodyContext(a12, a21)
         for i in (1, 2):
             for j in (1, 2):
-                x = kms.x_class(WeylElement(1, j))
+                x = kms.algebra.sigma(WeylElement(1, j))
                 twice = kms.weyl_action_gen_degree_one(
                     i, kms.weyl_action_gen_degree_one(i, x))
                 assert kms.algebra.equal(twice, x)

@@ -427,6 +427,41 @@ def test_cone_lps_certify_the_float_basis(monkeypatch):
     assert cone_equal(gen_wti(5, 4), gen_sti(5, 4)).equal
 
 
+def test_exact_cold_path_matches_float_guided_cone_lps(monkeypatch):
+    # with no float basis every LP runs the exact tableau from a cold start,
+    # and statuses, optima and witnesses stay those of the float-guided run
+    def run():
+        solved = []
+
+        def recorded(*args):
+            res = optimize(*args)
+            solved.append(res)
+            return res
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "lp_optimize", recorded)
+            verdicts = (redundancy_audit(gen_wti(3, 3)).entries,
+                        redundancy_audit(gen_wti(4, 3)).entries,
+                        cone_equal(gen_wti(4, 3), gen_sti(4, 3)))
+        return verdicts, solved
+
+    optimize = cones.lp_optimize
+    guided, guided_lps = run()
+    tableaus = []
+
+    def cold_start(*args):
+        tableaus.append(args)
+        return exact_tableau(*args)
+
+    exact_tableau = lp._Tableau
+    monkeypatch.setattr(lp, "_float_basis", lambda *args: None)
+    monkeypatch.setattr(lp, "_Tableau", cold_start)
+    cold, cold_lps = run()
+    assert guided_lps and len(tableaus) == len(cold_lps)
+    assert cold_lps == guided_lps
+    assert cold == guided
+
+
 @pytest.mark.parametrize("corruption,message", [
     ("negative", "negative coordinate"),
     ("normalization", "normalization"),

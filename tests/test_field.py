@@ -123,6 +123,14 @@ def test_field_init_validation():
         field_init(t=0)
 
 
+@pytest.mark.parametrize("t", ["abc", math.nan, math.inf, [1]],
+                         ids=["str", "nan", "inf", "list"])
+def test_field_init_rejects_unreadable_t(t):
+    # Fraction raises ValueError, OverflowError or TypeError for these
+    with pytest.raises(InvalidParameterError):
+        field_init(t=t)
+
+
 def test_descriptors_are_interned():
     assert field_init(3) is field_init(3)
     assert field_init(t=Fraction(1, 2)) is field_init(t=Fraction(1, 2))
@@ -603,6 +611,36 @@ def test_t_number_multiplication_rule(n):
 def test_t_number_rejects_negative():
     with pytest.raises(InvalidParameterError):
         t_number(field_init(3), -1)
+
+
+def test_t_number_without_t_structure():
+    # the seeds answer k = 0 and 1; the step t + 1/t is asked for from k = 2
+    k = real_cyclotomic(7)
+    assert t_number(k, 0) == k.zero and t_number(k, 1) == k.one
+    with pytest.raises(UnsupportedModeError):
+        t_number(k, 2)
+
+
+def test_angle_t_and_q_numbers_share_one_recurrence(monkeypatch):
+    calls = []
+
+    def counted(seq, step, k):
+        calls.append(k)
+        return recurrence(seq, step, k)
+
+    recurrence = field._recurrence
+    monkeypatch.setattr(field, "_recurrence", counted)
+    descr = field_init(7)
+    theta, tt = descr.theta, t_plus_t_inv(descr)
+    # fresh seeds, since other tests may have extended the interned lists
+    monkeypatch.setattr(descr, "_two_cos", [descr.from_rational(2), theta])
+    monkeypatch.setattr(descr, "_t_numbers", [descr.zero, descr.one])
+    monkeypatch.setattr(descr, "_q_numbers", [descr.zero, descr.one])
+    assert descr.two_cos(3) == theta * theta * theta - 3 * theta
+    assert q_number(descr, 3) == theta * theta - 1
+    assert t_number(descr, 3) == tt * tt - 1
+    assert calls == [3, 3, 3]
+    assert len(descr._two_cos) == len(descr._t_numbers) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dihedralcalc import lp
 from dihedralcalc.errors import VerificationError
-from dihedralcalc.field import dot_sign, field_init, real_cyclotomic
+from dihedralcalc.field import dot, dot_sign, field_init, real_cyclotomic
 from dihedralcalc.lp import LPResult, lp_solve
 
 F = Fraction
@@ -123,6 +123,39 @@ def test_certificate_signs_columns_through_dot_sign(monkeypatch):
     res = lp_solve([[1, 1]], [1], [1, 0], zero=ZERO)
     assert res.status == "optimal" and res.optimum == 1
     assert len(calls) == 1
+
+
+def test_pivot_and_certificate_share_one_elimination(monkeypatch):
+    # max x+y s.t. x+2y <= 4, 3x+y <= 6, x+y <= 10: K is the 2x2 block of
+    # the first two rows, and the third row's slack stays basic
+    rows, rhs, obj = [[1, 2], [3, 1], [1, 1]], [4, 6, 10], [1, 1]
+    steps, dots = [], []
+
+    def eliminate(*args):
+        steps.append(args[1:3])
+        return lp_eliminate(*args)
+
+    def counted_dot(*args):
+        dots.append(args)
+        return dot(*args)
+
+    lp_eliminate = lp._eliminate
+    monkeypatch.setattr(lp, "_eliminate", eliminate)
+    monkeypatch.setattr(lp, "dot", counted_dot)
+    one = ZERO.descr.one
+    t = lp._Tableau(rows, rhs, 2, ZERO, one)
+    assert t.solve(obj) == "optimal"
+    assert len(steps) == t.iterations > 0 and not dots
+    # b is the last column: each basic value sits at the end of its row
+    values = {j: row[-1] for j, row in zip(t.basis, t.rows)}
+    assert values == {0: F(8, 5), 1: F(6, 5), 4: F(36, 5)}
+    steps.clear()
+    x, y = lp._certify(rows, rhs, obj, t.basis, ZERO, one,
+                       lp.float_image(rows))
+    assert x == [F(8, 5), F(6, 5)] and y == [F(2, 5), F(1, 5), 0]
+    assert steps == [(0, 0), (1, 1)]  # one step per column of K
+    # x_J (2), the basic slack's residual (1) and y_R (2)
+    assert len(dots) == 5
 
 
 def test_field_element_coefficients():
