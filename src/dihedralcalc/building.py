@@ -24,7 +24,12 @@ Antipodality, ball-intersection counts, chart keys and geodesics are all
 read from tables of ``ChamberGraph.distances``, one bounded multi-source
 BFS.  All-pairs questions (the diameter, the pairs ``bar_step`` joins)
 are read from ``ChamberGraph.balls``, which grows every vertex's ball at
-once as a bit set.
+once as a bit set.  ``girth`` audits a finished graph by its own BFS from
+each source over the ids >= it.  It skips a source with fewer than two
+larger neighbours, since a cycle's least vertex has two larger cycle
+neighbours.  It expands depth a only while 2a+2 beats the best cycle,
+since in a bipartite graph an edge seen from depth a closes 2a, found one
+level up, or 2a+2.
 
 On top of the graphs it evaluates weighted-configuration slopes and
 searches for minimal-slope vertices.  A slope is minus one row of the
@@ -209,8 +214,11 @@ class ChamberGraph:
         None for a vertex farther than ``limit`` or unreachable.  Every
         single- and multi-source distance table of this module comes from
         here, the ``add_path`` guard of a single join included.  All-pairs
-        questions go to ``balls``; only ``girth`` (its BFS sees ids >= the
-        source and stops early) searches on its own.  The joins that
+        questions go to ``balls``; only ``girth`` searches on its own: its
+        BFS sees ids >= the source, skips a source with fewer than two
+        larger neighbours (a cycle's least vertex has two), and expands
+        depth a only while 2a+2 < best (by bipartiteness an edge seen from
+        depth a closes 2a, found one level up, or 2a+2).  The joins that
         ``bar_step`` and ``_census_saturation`` read off one snapshot need
         no search: a path of length L = 2n - d on a pair at distance d in
         {n, n+1} closes a cycle shorter than 2n only with an earlier path
@@ -351,8 +359,17 @@ def girth(g: ChamberGraph) -> float:
     walk of length a+b+1, which contains a cycle, so no BFS reports less
     than the girth.  If s is the smallest id on a shortest cycle C, the
     BFS from s sees all of C and reports |C|: some edge of C is not a
-    tree edge, and its depths sum to at most |C|-1.  A BFS stops at depth
-    a once 2a+1 >= best, since deeper edges close no shorter walk.
+    tree edge, and its depths sum to at most |C|-1.  Two rules cut the
+    search and keep the answer:
+
+    * a source with fewer than two neighbours of larger id is skipped,
+      since the least vertex of a cycle has two cycle neighbours, both
+      larger, and every cycle is found from its least vertex;
+    * depth a is expanded only while 2a+2 < best.  A chamber graph is
+      bipartite (``add_edge`` joins opposite types only), so an edge seen
+      from depth a goes to depth a-1, closing 2a, found one level up, or
+      to depth a+1, closing 2a+2.
+
     Growth never calls this, since ``add_path`` keeps girth >= 2n itself;
     it audits a finished graph independently.
     """
@@ -360,12 +377,14 @@ def girth(g: ChamberGraph) -> float:
     dist = [-1] * g.num_vertices
     parent = [-1] * g.num_vertices
     best = math.inf
-    for src in range(g.num_vertices):
+    for src, a in enumerate(adj):
+        if len(a) < 2 or a[-2] < src:
+            continue
         dist[src] = 0
         seen = [src]
         frontier = [src]
         depth = 0
-        while frontier and 2 * depth + 1 < best:
+        while frontier and 2 * depth + 2 < best:
             nxt = []
             for u in frontier:
                 for v in adj[u]:
@@ -642,8 +661,7 @@ def ball_intersection_census(
     if any(r < 0 for r in radii):
         raise InvalidParameterError("radii must be nonnegative")
     tables = [g.distances(*g.check_chamber(c), limit=r) for c, r in zip(chambers, radii)]
-    return sum(1 for v in range(g.num_vertices) if g.types[v] == l
-               and all(t[v] is not None for t in tables))
+    return sum(1 for row in zip(g.types, *tables) if row[0] == l and None not in row)
 
 
 @dataclass

@@ -266,13 +266,15 @@ _DESCR_TOKEN = object()
 _DESCRIPTORS: dict[tuple, FieldDescriptor] = {}
 
 
-def field_init(n: int | None = None, *, t: Rational | None = None) -> FieldDescriptor:
+def field_init(n: int | None = None, *, t: Rational | str | None = None) -> FieldDescriptor:
     """Build the working field for I2(n) (cyclotomic) or for rational t > 0.
 
     Exactly one of n and t must be given.  Cyclotomic mode requires n >= 2
     and uses theta = 2*cos(pi/(2*n)) of degree phi(4n)/2 over Q.  Hyperbolic
     mode accepts any positive rational t (t = 1 included; the group is then
-    infinite dihedral) and works with plain rationals.
+    infinite dihedral), given as an int, a Fraction or a decimal string
+    such as "0.1", and works with plain rationals.  A float or bool t
+    raises InvalidParameterError.
     """
     if (n is None) == (t is None):
         raise InvalidParameterError("give exactly one of n, t")
@@ -284,9 +286,12 @@ def field_init(n: int | None = None, *, t: Rational | None = None) -> FieldDescr
             _DESCRIPTORS[key] = FieldDescriptor(
                 "cyclotomic", n=n, N=4 * n, _token=_DESCR_TOKEN)
         return _DESCRIPTORS[key]
+    if isinstance(t, (float, bool)):
+        # a float holds a binary value, not the rational that was meant
+        raise InvalidParameterError(f"t must be an int, Fraction or decimal string, got {t!r}")
     try:
         tq = Fraction(t)
-    except (TypeError, ValueError, OverflowError):  # 'abc', nan, inf, [1]
+    except (TypeError, ValueError, OverflowError):  # 'abc', [1], Decimal('inf')
         tq = None
     if tq is None or tq <= 0:
         raise InvalidParameterError("t must be a positive rational")

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -172,6 +173,54 @@ def test_add_path_refuses_short_cycle():
 def test_girth_matches_all_source_reference(g):
     assert girth(g) == girth_reference(g)
     assert all(a == sorted(a) for a in g.adj)
+
+
+@functools.cache
+def grown_graphs():
+    """Distinct grown graphs, each with the chambers its census counts from.
+
+    Every census output for n 3..5, m 2..3, every radius tuple and both l
+    (the census suite's tuples, apartment seed 11), ``bar_step`` stages 1
+    and 2 for n 3..5 (chambers (0, 1) and (n, n+1) of the seed apartment),
+    and a ``from_json`` round trip of the largest.  They reach 1857
+    vertices, where the girth BFS's source skip and early stop cut work;
+    the random graphs above stop at 14 vertices.
+    """
+    graphs = {}
+
+    def keep(g, chambers):
+        doc = json.dumps(g.to_json())
+        graphs.setdefault(hashlib.sha256(doc.encode()).hexdigest(), (g, chambers))
+
+    for n in (3, 4, 5):
+        for m in (2, 3):
+            tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=11), m)
+            for radii in itertools.combinations_with_replacement(range(1, n), m):
+                for l in (1, 2):
+                    keep(census_rounds(tup.graph, tup.chambers, list(radii), l).graph,
+                         tup.chambers)
+        g = ChamberGraph.apartment(n, seed=3)
+        for _ in range(2):
+            g = bar_step(g)
+            keep(g, [(0, 1), (n, n + 1)])
+    g, chambers = max(graphs.values(), key=lambda rec: rec[0].num_vertices)
+    keep(ChamberGraph.from_json(json.loads(json.dumps(g.to_json()))), chambers)
+    return list(graphs.values())
+
+
+def test_girth_matches_all_source_reference_on_grown_graphs():
+    graphs = grown_graphs()
+    assert max(g.num_vertices for g, _ in graphs) == 1857
+    for g, _ in graphs:
+        assert girth(g) == girth_reference(g) == 2 * g.n
+        # a (2n-2)-cycle on the largest ids: every earlier source has set
+        # best = 2n, so only the sources of this cycle may lower it, and the
+        # BFS from its least vertex must still expand depth n-2
+        h = g.copy()
+        ring = [h.add_vertex(1 + k % 2) for k in range(2 * g.n - 2)]
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            h.add_edge(u, v)
+        assert girth(h) == girth_reference(h) == 2 * g.n - 2
 
 
 def distances_reference(g, src):
@@ -727,6 +776,21 @@ def test_ball_census_hand_example():
     assert ball_intersection_census(g, chambers, [1, 1], 1) == 0
     with pytest.raises(InvalidParameterError):
         ball_intersection_census(g, chambers, [1, 2], 0)
+
+
+def test_ball_census_matches_per_vertex_oracle():
+    # radius 0 keeps only chamber endpoints, at distance 0: a count that
+    # tested truthiness instead of "is not None" would drop them
+    for g, chambers in grown_graphs():
+        n = g.n
+        # grown graphs are connected, so no reference distance is None
+        tables = [list(map(min, distances_reference(g, x1), distances_reference(g, x2)))
+                  for x1, x2 in chambers]
+        for radii in itertools.product(range(n + 2), repeat=len(chambers)):
+            for l in (1, 2):
+                want = sum(1 for v in range(g.num_vertices) if g.types[v] == l
+                           and all(t[v] <= r for t, r in zip(tables, radii)))
+                assert ball_intersection_census(g, chambers, list(radii), l) == want
 
 
 def test_census_needs_one_radius_per_chamber():

@@ -126,9 +126,23 @@ def test_field_init_validation():
 @pytest.mark.parametrize("t", ["abc", math.nan, math.inf, [1]],
                          ids=["str", "nan", "inf", "list"])
 def test_field_init_rejects_unreadable_t(t):
-    # Fraction raises ValueError, OverflowError or TypeError for these
+    # nan and inf are floats; Fraction raises ValueError or TypeError for the rest
     with pytest.raises(InvalidParameterError):
         field_init(t=t)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.0, True], ids=["0.1", "2.0", "bool"])
+def test_field_init_rejects_float_and_bool_t(t):
+    # field_init(t=0.1) would otherwise build the field at the float's
+    # binary value, 3602879701896397/36028797018963968
+    with pytest.raises(InvalidParameterError, match="t must be"):
+        field_init(t=t)
+
+
+@pytest.mark.parametrize("t,want", [(2, Fraction(2)), (Fraction(3, 2), Fraction(3, 2)),
+                                    ("0.1", Fraction(1, 10)), ("5/2", Fraction(5, 2))])
+def test_field_init_reads_exact_t(t, want):
+    assert field_init(t=t).t == want
 
 
 def test_descriptors_are_interned():
