@@ -147,11 +147,25 @@ def _write(dest: str | None, data: bytes) -> None:
         Path(dest).write_bytes(data)
 
 
+def _document_bytes(command: str, parameters: dict, payload: Any, *,
+                    seed: int | None = None,
+                    field: dict | None = None) -> bytes:
+    """``canonical_bytes(wrap(...))`` with the payload encoded once: its
+    bytes give the digest and are spliced into the envelope after the
+    manifest's ("manifest" sorts before "payload")."""
+    body = canonical_bytes(payload)
+    document = wrap(command, parameters, payload, seed=seed, field=field,
+                    encoded=body)
+    head = canonical_bytes(document["manifest"])
+    return b'{"manifest":' + head[:-1] + b',"payload":' + body[:-1] + b"}\n"
+
+
 def _emit_json(args, command: str, parameters: dict, payload: Any, *,
                seed: int | None = None, field: dict | None = None,
                dest: str | None = None) -> None:
-    document = wrap(command, parameters, payload, seed=seed, field=field)
-    _write(dest if dest is not None else args.dest, canonical_bytes(document))
+    _write(dest if dest is not None else args.dest,
+           _document_bytes(command, parameters, payload, seed=seed,
+                           field=field))
 
 
 # -- subcommands -------------------------------------------------------------------

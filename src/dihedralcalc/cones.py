@@ -59,7 +59,7 @@ from .field import (FieldDescriptor, FieldElement, approx_vector, dot,
                     dot_sign, field_init, real_cyclotomic)
 from .filtration import ConcaveWeighting, gr_product
 from .lp import float_image, lp_solve
-from .prering import enumerate_sigma
+from .prering import distinct_orderings, enumerate_sigma
 from .weyl import IDENTITY, DihedralGroup, WeylElement
 
 
@@ -68,6 +68,14 @@ from .weyl import IDENTITY, DihedralGroup, WeylElement
 @lru_cache(maxsize=None)
 def _group(n: int) -> DihedralGroup:
     return DihedralGroup(n)
+
+
+@lru_cache(maxsize=None)
+def _vertex_table(n: int, l: int) -> dict[WeylElement, int]:
+    """``vertex_index(u, l)`` for each of the 2n elements u, built once;
+    the generators read every key from it."""
+    g = _group(n)
+    return {u: g.vertex_index(u, l) for u in g.elements()}
 
 
 def small_field(n: int) -> FieldDescriptor:
@@ -234,20 +242,25 @@ class InequalitySystem:
             _dual=drop(self.dual_matrix()), _image=(drop(vals), drop(errs)))
 
 
+def _system(n: int, slots: int, first: dict[tuple, InequalityTag],
+            generated: int, meta: dict) -> InequalitySystem:
+    """The system of the keys in ``first``, each with the tag of its first
+    occurrence among ``generated`` tagged keys."""
+    meta = dict(meta)
+    meta["merged"] = generated - len(first)
+    meta["count"] = len(first)
+    ineqs = [LinearInequality(k, t) for k, t in first.items()]
+    return InequalitySystem(n, slots, ineqs, meta)
+
+
 def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
                   meta: dict) -> InequalitySystem:
-    seen: dict[tuple, InequalityTag] = {}
-    merged = 0
+    first: dict[tuple, InequalityTag] = {}
+    generated = 0
     for key, tag in tagged:
-        if key in seen:
-            merged += 1
-        else:
-            seen[key] = tag
-    ineqs = [LinearInequality(k, t) for k, t in seen.items()]
-    meta = dict(meta)
-    meta["merged"] = merged
-    meta["count"] = len(ineqs)
-    return InequalitySystem(n, slots, ineqs, meta)
+        generated += 1
+        first.setdefault(key, tag)
+    return _system(n, slots, first, generated, meta)
 
 
 # -- system generators --------------------------------------------------------
@@ -264,21 +277,23 @@ def gen_wti(n: int, m: int) -> InequalitySystem:
         raise InvalidParameterError("need at least two weight slots")
     g = _group(n)
     base = {1: 0, 2: 1}
-    tagged = []
+    first: dict[tuple, InequalityTag] = {}
+    generated = 0
     for l in (1, 2):
         rest = w0_index(n, base[l])
         for i, j in itertools.combinations(range(m), 2):
-            for u in g.elements():
-                k = g.vertex_index(u, l)
+            for u, k in _vertex_table(n, l).items():
                 key = [rest] * m
                 key[i] = k
                 key[j] = w0_index(n, k)
-                words = [g.longest] * m
-                words[i] = u
-                words[j] = g.compose(g.longest, u)
-                tagged.append((tuple(key),
-                               InequalityTag("WTI", l, tuple(words), (i, j))))
-    sys = _dedup_system(n, m, tagged, {
+                key = tuple(key)
+                generated += 1
+                if key not in first:
+                    words = [g.longest] * m
+                    words[i] = u
+                    words[j] = g.compose(g.longest, u)
+                    first[key] = InequalityTag("WTI", l, tuple(words), (i, j))
+    sys = _system(n, m, first, generated, {
         "system": "WTI",
         "count_nominal": 2 * n * comb(m, 2),
     })
@@ -301,14 +316,15 @@ def gen_wti(n: int, m: int) -> InequalitySystem:
 def gen_sti(n: int, m: int) -> InequalitySystem:
     """Stability inequalities: one pair of scalars per nonzero point-multiple
     tuple of Schubert classes in the flag pre-ring."""
-    g = _group(n)
     tuples = enumerate_sigma(n, m)
-    tagged = []
+    tables = [(l, _vertex_table(n, l).__getitem__) for l in (1, 2)]
+    first: dict[tuple, InequalityTag] = {}
     for tup in tuples:
-        for l in (1, 2):
-            key = tuple(g.vertex_index(u, l) for u in tup)
-            tagged.append((key, InequalityTag("STI", l, tup)))
-    return _dedup_system(n, m, tagged, {
+        for l, vertex in tables:
+            key = tuple(map(vertex, tup))
+            if key not in first:
+                first[key] = InequalityTag("STI", l, tup)
+    return _system(n, m, first, 2 * len(tuples), {
         "system": "STI",
         "sigma_count": len(tuples),
     })
@@ -364,7 +380,6 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
 
     descr = field_init(n)
     ctx = AlgebraContext(descr)
-    g = ctx.group
     tag_system = "KM"
     if kind == "at":
         basis = ctx.basis()
@@ -391,21 +406,28 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
         ls = (1, 2)
 
     products = _chain_products(basis, mul, lambda i: ctx.sigma(basis[i]), m)
-    tagged = []
+    # per l: the lambda-slot value of each basis element, and the mu-slot
+    # table; every permutation's key is read off these
+    slot_values = [(l, [antipode(n, _vertex_table(n, l)[x]) for x in basis],
+                    _vertex_table(n, l)) for l in ls]
+    first: dict[tuple, InequalityTag] = {}
+    generated = 0
     for combo, element in products.items():
-        support = [(y, c) for y, c in element.items()
+        support = [y for y, c in element.items()
                    if c and (targets is None or y in targets)]
         if not support:
             continue
-        for perm in sorted(set(itertools.permutations(combo))):
-            for y, _ in support:
-                words = tuple(basis[p] for p in perm) + (y,)
-                for l in ls:
-                    key = tuple(antipode(n, g.vertex_index(x, l))
-                                for x in words[:-1])
-                    key += (g.vertex_index(y, l),)
-                    tagged.append((key, InequalityTag(tag_system, l, words)))
-    return _dedup_system(n, m + 1, tagged, {
+        for perm in sorted(distinct_orderings(combo)):
+            heads = [(l, tuple(lam[p] for p in perm), mu)
+                     for l, lam, mu in slot_values]
+            generated += len(support) * len(heads)
+            for y in support:
+                for l, head, mu in heads:
+                    key = head + (mu[y],)
+                    if key not in first:
+                        words = tuple(basis[p] for p in perm) + (y,)
+                        first[key] = InequalityTag(tag_system, l, words)
+    return _system(n, m + 1, first, generated, {
         "system": f"{tag_system}:{kind}",
         "m": m,
         "kind": kind,

@@ -3,7 +3,9 @@
 A manifest records what produced an output (command, parameters, seed,
 ground field, toolchain) together with sha256 digests of the payloads.
 Serialization is canonical (sorted keys, no whitespace, ASCII), so equal
-documents always yield equal bytes and equal digests.
+documents always yield equal bytes and equal digests.  It is also
+compositional: a value nested in a document is encoded exactly as it is
+on its own, so a document's bytes can be spliced from those of its parts.
 """
 
 from __future__ import annotations
@@ -49,16 +51,25 @@ def make_manifest(command: str, parameters: Mapping[str, Any],
                   payloads: Mapping[str, Any], *,
                   seed: int | None = None,
                   field: dict[str, Any] | None = None) -> RunManifest:
-    digests = {name: digest(doc) for name, doc in sorted(payloads.items())}
+    """A payload given as bytes is taken to be its own canonical encoding,
+    so a caller that has encoded it already does not encode it again."""
+    digests = {name: hashlib.sha256(doc).hexdigest()
+               if isinstance(doc, bytes) else digest(doc)
+               for name, doc in sorted(payloads.items())}
     return RunManifest(command=command, parameters=dict(parameters),
                        seed=seed, field=field, toolchain=toolchain(),
                        digests=digests)
 
 
 def wrap(command: str, parameters: Mapping[str, Any], payload: Any, *,
-         seed: int | None = None,
-         field: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Bundle a payload with its manifest into one JSON document."""
-    mani = make_manifest(command, parameters, {"payload": payload},
+         seed: int | None = None, field: dict[str, Any] | None = None,
+         encoded: bytes | None = None) -> dict[str, Any]:
+    """Bundle a payload with its manifest into one JSON document.
+
+    ``encoded``, when given, is ``canonical_bytes(payload)``; the digest is
+    then read off those bytes.
+    """
+    mani = make_manifest(command, parameters,
+                         {"payload": payload if encoded is None else encoded},
                          seed=seed, field=field)
     return {"manifest": mani.to_json(), "payload": payload}

@@ -15,14 +15,18 @@ package's shared ``algebra.bilinear`` over these coefficients, whose ``+``
 and ``*`` are those of Z2.
 
 enumerate_sigma lists the m-tuples whose flag product is a nonzero
-multiple of the point class.  Products are evaluated with same-type chains
-first and one mixed step at the end; this never hits inf + inf, mirroring
-the fact that a nonzero product splits through the two vertex types.
+multiple of the point class, testing each multiset of factors once.
+Products are evaluated with same-type chains first and one mixed step at
+the end; this never hits inf + inf, mirroring the fact that a nonzero
+product splits through the two vertex types.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import bilinear
 from .errors import (
@@ -203,30 +207,64 @@ class FlagPreRing:
         return value
 
 
+def distinct_orderings(multiset: Iterable[int]) -> list[tuple[int, ...]]:
+    """The distinct orderings of a multiset, in no particular order: the
+    copies of each value, most frequent first, go to every set of positions
+    among the orderings of the values placed before them.  The cost is in
+    proportion to the output, however many copies repeat."""
+    out: list[tuple[int, ...]] = [()]
+    for value, count in Counter(multiset).most_common():
+        grown = []
+        for shorter in out:
+            for spots in itertools.combinations(range(len(shorter) + count),
+                                                count):
+                longer = list(shorter)
+                for spot in spots:
+                    longer.insert(spot, value)
+                grown.append(tuple(longer))
+        out = grown
+    return out
+
+
 def enumerate_sigma(n: int, m: int) -> list[tuple]:
     """All m-tuples of Weyl elements whose flag product is a nonzero
-    multiple of the point class, in lexicographic label order."""
+    multiple of the point class, in lexicographic label order.
+
+    The flag product is commutative and ``point_multiple`` depends only on
+    the multiset of factors, so each multiset whose codegrees sum to n is
+    tested once and, if its product is nonzero, contributes every distinct
+    ordering of itself.  ``test_point_multiple_is_symmetric`` checks that
+    invariance, and ``test_sigma_matches_tuple_oracle`` compares the list,
+    order included, with a test of every tuple.
+    """
     if m < 2:
         raise InvalidParameterError("m must be at least 2")
     if n is None:
         raise InvalidParameterError("finite groups only")
     ring = FlagPreRing(n)
-    labels = sorted((w.length, w.side or 0) for w in ring.basis())
-    elems = [ring.group.element(ln, sd or None) for ln, sd in labels]
-    out = []
+    # label order: codegrees n - length never increase along it
+    elems = sorted(ring.basis(), key=lambda w: (w.length, w.side or 0))
+    codegrees = [n - u.length for u in elems]
+    picked: list[int] = []
+    out: list[tuple[int, ...]] = []
 
-    def rec(prefix: tuple, codegree_left: int):
-        slots_left = m - len(prefix)
+    def rec(start: int, codegree_left: int, slots_left: int):
         if slots_left == 0:
-            if codegree_left == 0 and \
-                    not ring.point_multiple(prefix).is_zero():
-                out.append(prefix)
+            if codegree_left == 0 and not ring.point_multiple(
+                    tuple(elems[i] for i in picked)).is_zero():
+                out.extend(distinct_orderings(picked))
             return
-        for u in elems:
-            cd = n - u.length
+        for i in range(start, len(elems)):
+            cd = codegrees[i]
             if cd > codegree_left:
                 continue
-            rec(prefix + (u,), codegree_left - cd)
+            if cd * slots_left < codegree_left:
+                break  # later factors have smaller codegrees still
+            picked.append(i)
+            rec(i, codegree_left - cd, slots_left - 1)
+            picked.pop()
 
-    rec((), n)
-    return out
+    rec(0, n, m)
+    out.sort()
+    get = elems.__getitem__
+    return [tuple(map(get, p)) for p in out]

@@ -9,7 +9,7 @@ from dihedralcalc.building import ChamberGraph, WeightedConfiguration, \
     min_slope_scan, slope_at
 from dihedralcalc.cli import SYSTEM_CHOICES, main, system_from_spec
 from dihedralcalc.cones import DominantWeight, gen_km, gen_wti, theta_system
-from dihedralcalc.manifest import digest
+from dihedralcalc.manifest import canonical_bytes, digest, wrap
 
 
 def run(tmp_path, *argv, expect=0):
@@ -344,6 +344,37 @@ def test_mult_table_payload_pinned(tmp_path, n):
         assert doc["manifest"]["digests"]["payload"] == digest(doc["payload"])
         found.append(digest(doc["payload"]))
     assert tuple(found) == MULT_TABLE_PINS[n]
+
+
+# -- artifact encoding ---------------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(-2 ** 300, 2 ** 300)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=JSON_VALUES | st.sampled_from([{}, [], "", {"": {}}]),
+       parameters=st.dictionaries(st.text(max_size=6), JSON_SCALARS,
+                                  max_size=3),
+       seed=st.none() | st.integers(0, 2 ** 70),
+       field=st.none() | st.dictionaries(st.text(max_size=4), JSON_SCALARS,
+                                         max_size=2))
+def test_document_bytes_equal_the_wrapped_encoding(payload, parameters, seed,
+                                                   field):
+    # the payload is encoded once and spliced in after the manifest
+    data = cli._document_bytes("cmd", parameters, payload, seed=seed,
+                               field=field)
+    assert data == canonical_bytes(
+        wrap("cmd", parameters, payload, seed=seed, field=field))
+    doc = json.loads(data)
+    assert doc["manifest"]["digests"]["payload"] == digest(payload)
 
 
 # -- build / slope -----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -307,6 +308,78 @@ def test_km_union_merges_sides():
     b2 = gen_km(3, 2, "b2")
     b = gen_km(3, 2, "b")
     assert b.key_set == b1.key_set | b2.key_set
+
+
+# sha256 over n 2..8 and m 2..4 of each system's (key, tag) rows and meta,
+# taken before the generators read keys from vertex tables and tagged each
+# key on its first occurrence only
+SYSTEM_PINS = {
+    "wti": "2916a6330dd7777e53026ff4ab74c8be9a61a0217840e34d0900a2645ee5e85b",
+    "sti": "17464ef5244656f85e18d4b116f79a6b6213c4bb7c65021e626e2b7c10ac1600",
+    "km:at": "33d9482f0a221d8a79bdcd7964799dca535f8010d4c5b422fa6c969f75c929ea",
+    "theta:km:at":
+        "6fe2784ca66d3d3d35765dc5f0ea16294f34d8336fca34f2c43fd3e88a26553b",
+    "km:gr-at":
+        "a8e4c8be560b9ec30a7c82b3509b2800aae6221f48a6e5df0696aadf358315d3",
+    "theta:km:gr-at":
+        "9d09c91e43524c673b2d166a4298e652956dda74274796fa71cddbdaee629b74",
+    "km:b1": "f430ead8e13af88498f5687791bfd576d36259bc85c2991129da6622260fdb00",
+    "theta:km:b1":
+        "087b8b63d32ea850e44564aee9ed2361aa18fee37b45806d742ac41ad884fbf6",
+    "km:b2": "ecddb3e33531d6f27dd64ebf60b2350924566098f2504298bf9d86dbe464dd9d",
+    "theta:km:b2":
+        "85f6217e3c8c3872e34bf98b320c2756e58498e0bdb3359be18c2760f2fc043c",
+    "km:b": "393f20b61c422e641f0cead64f9737bae89387cc746b3fc33ffc05a5a235e6c7",
+    "theta:km:b":
+        "bbe667aab14c32caa2baea05080cfcf5b5dc3e1105cc4c323b6c5db89f61158a",
+    "km:gr-b1":
+        "dff9ca6678dd13f5baea5f845d7fd701b4f61ad169dbc21bdd4673c74d29f325",
+    "theta:km:gr-b1":
+        "40ece7de3e810b89ec4ad210b3a5c2a30a861f747e017ee4f2d66afc727cb2dc",
+    "km:gr-b2":
+        "6d8edaa829521c980aeb63f027d472dcee618bab7c60663ea3a16d84959f9e19",
+    "theta:km:gr-b2":
+        "2726e9669dba64806dedfd93c9fb9dc0d5db46a7d72a5be2a86fb5bd1f72bfd3",
+    "km:gr-b":
+        "521a42ceacea0dcb5b3c5af59de9d92c676af0ae1b51733ba591b596c53cd5d2",
+    "theta:km:gr-b":
+        "86743654e985808bbcd4032628fa0ce859310c43ee15397dccdaeb53007df3b9",
+}
+
+
+def pinned_generator(name):
+    if name == "wti":
+        return gen_wti
+    if name == "sti":
+        return gen_sti
+    twist, _, kind = name.rpartition("km:")
+    if twist:
+        return lambda n, m: theta_system(gen_km(n, m, kind))
+    return lambda n, m: gen_km(n, m, kind)
+
+
+@pytest.mark.parametrize("name", SYSTEM_PINS)
+def test_generated_systems_pinned(name):
+    build = pinned_generator(name)
+    total = hashlib.sha256()
+    for n in range(2, 9):
+        for m in range(2, 5):
+            system = build(n, m)
+            doc = {"meta": system.meta,
+                   "rows": [[list(q.key), q.tag.to_json()]
+                            for q in system.inequalities]}
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            total.update(hashlib.sha256(text.encode()).hexdigest().encode())
+    assert total.hexdigest() == SYSTEM_PINS[name]
+
+
+def test_km_many_factors_at_n2():
+    # eleven factors: each multiset's distinct orderings only, not its 11!
+    # permutations
+    keys = gen_km(2, 11).key_set
+    assert keys
+    for i in range(10):
+        assert {k[:i] + (k[i + 1], k[i]) + k[i + 2:] for k in keys} == keys
 
 
 def test_km_rejects_unknown_kind():

@@ -15,6 +15,7 @@ from dihedralcalc.prering import (
     FlagPreRing,
     GrassPreRing,
     Z2,
+    distinct_orderings,
     enumerate_sigma,
 )
 from dihedralcalc.weyl import IDENTITY, DihedralGroup, WeylElement
@@ -336,6 +337,59 @@ def test_sigma_rejects_same_type_chains():
             assert sides == {1, 2}
 
 
+
+
+def sigma_oracle(n, m):
+    """Every m-tuple over the flag basis, in label order, whose codegrees
+    sum to n and whose point multiple is nonzero: one test per tuple."""
+    ring = FlagPreRing(n)
+    labels = sorted(ring.basis(), key=lambda u: (u.length, u.side or 0))
+    return [tup for tup in itertools.product(labels, repeat=m)
+            if sum(n - u.length for u in tup) == n
+            and not ring.point_multiple(tup).is_zero()]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 5))
+def test_sigma_matches_tuple_oracle(n, m):
+    assert enumerate_sigma(n, m) == sigma_oracle(n, m)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_point_multiple_is_symmetric(n):
+    # enumerate_sigma tests one ordering per multiset and emits the rest
+    ring = FlagPreRing(n)
+    for m in range(2, 5):
+        for combo in itertools.combinations_with_replacement(ring.basis(), m):
+            values = {ring.point_multiple(p)
+                      for p in itertools.permutations(combo)}
+            assert len(values) == 1, combo
+
+
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_distinct_orderings_match_permutations(multiset):
+    got = distinct_orderings(multiset)
+    assert len(got) == len(set(got))
+    assert set(got) == set(itertools.permutations(multiset))
+
+
+def test_sigma_many_slots_at_n2():
+    # 32 slots: the point against 31 units, or s1 and s2 against 30 units;
+    # a walk over all 32! orderings of one multiset would never finish
+    m = 32
+    group = DihedralGroup(2)
+    w0, s1, s2 = group.longest, group.element(1, 1), group.element(1, 2)
+    expected = []
+    for i in range(m):
+        tup = [w0] * m
+        tup[i] = IDENTITY
+        expected.append(tuple(tup))
+        for j in range(m):
+            if j != i:
+                tup = [w0] * m
+                tup[i], tup[j] = s1, s2
+                expected.append(tuple(tup))
+    assert enumerate_sigma(2, m) == sorted(expected)
 
 
 def test_sigma_invalid_parameters():
