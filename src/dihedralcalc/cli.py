@@ -151,12 +151,12 @@ def _document_bytes(command: str, parameters: dict, payload: Any, *,
                     seed: int | None = None,
                     field: dict | None = None) -> bytes:
     """``canonical_bytes(wrap(...))`` with the payload encoded once: its
-    bytes give the digest and are spliced into the envelope after the
-    manifest's ("manifest" sorts before "payload")."""
+    bytes give the digest (``make_manifest`` reads a bytes payload as its
+    own encoding) and are spliced into the envelope after the manifest's
+    ("manifest" sorts before "payload")."""
     body = canonical_bytes(payload)
-    document = wrap(command, parameters, payload, seed=seed, field=field,
-                    encoded=body)
-    head = canonical_bytes(document["manifest"])
+    head = canonical_bytes(wrap(command, parameters, body, seed=seed,
+                                field=field)["manifest"])
     return b'{"manifest":' + head[:-1] + b',"payload":' + body[:-1] + b"}\n"
 
 

@@ -70,10 +70,9 @@ def _group(n: int) -> DihedralGroup:
     return DihedralGroup(n)
 
 
-@lru_cache(maxsize=None)
 def _vertex_table(n: int, l: int) -> dict[WeylElement, int]:
-    """``vertex_index(u, l)`` for each of the 2n elements u, built once;
-    the generators read every key from it."""
+    """``vertex_index(u, l)`` for each of the 2n elements u; a generator
+    builds it once and reads every key from it."""
     g = _group(n)
     return {u: g.vertex_index(u, l) for u in g.elements()}
 
@@ -242,25 +241,25 @@ class InequalitySystem:
             _dual=drop(self.dual_matrix()), _image=(drop(vals), drop(errs)))
 
 
-def _system(n: int, slots: int, first: dict[tuple, InequalityTag],
-            generated: int, meta: dict) -> InequalitySystem:
-    """The system of the keys in ``first``, each with the tag of its first
-    occurrence among ``generated`` tagged keys."""
+def _dedup_system(n: int, slots: int, rows: Iterable[tuple[tuple, object]],
+                  meta: dict, make_tag=lambda tag: tag) -> InequalitySystem:
+    """The system of the distinct keys among ``rows``, (key, spec) pairs.
+
+    A key keeps the tag of its first occurrence, ``make_tag(spec)``, which
+    is built for that occurrence only; by default the spec is the tag.
+    ``meta["merged"]`` counts the rows dropped as repeats.
+    """
+    first: dict[tuple, InequalityTag] = {}
+    generated = 0
+    for key, spec in rows:
+        generated += 1
+        if key not in first:
+            first[key] = make_tag(spec)
     meta = dict(meta)
     meta["merged"] = generated - len(first)
     meta["count"] = len(first)
     ineqs = [LinearInequality(k, t) for k, t in first.items()]
     return InequalitySystem(n, slots, ineqs, meta)
-
-
-def _dedup_system(n: int, slots: int, tagged: Iterable[tuple[tuple, InequalityTag]],
-                  meta: dict) -> InequalitySystem:
-    first: dict[tuple, InequalityTag] = {}
-    generated = 0
-    for key, tag in tagged:
-        generated += 1
-        first.setdefault(key, tag)
-    return _system(n, slots, first, generated, meta)
 
 
 # -- system generators --------------------------------------------------------
@@ -277,26 +276,29 @@ def gen_wti(n: int, m: int) -> InequalitySystem:
         raise InvalidParameterError("need at least two weight slots")
     g = _group(n)
     base = {1: 0, 2: 1}
-    first: dict[tuple, InequalityTag] = {}
-    generated = 0
-    for l in (1, 2):
-        rest = w0_index(n, base[l])
-        for i, j in itertools.combinations(range(m), 2):
-            for u, k in _vertex_table(n, l).items():
-                key = [rest] * m
-                key[i] = k
-                key[j] = w0_index(n, k)
-                key = tuple(key)
-                generated += 1
-                if key not in first:
-                    words = [g.longest] * m
-                    words[i] = u
-                    words[j] = g.compose(g.longest, u)
-                    first[key] = InequalityTag("WTI", l, tuple(words), (i, j))
-    sys = _system(n, m, first, generated, {
+
+    def rows():
+        for l in (1, 2):
+            rest = w0_index(n, base[l])
+            table = _vertex_table(n, l)
+            for i, j in itertools.combinations(range(m), 2):
+                for u, k in table.items():
+                    key = [rest] * m
+                    key[i] = k
+                    key[j] = w0_index(n, k)
+                    yield tuple(key), (l, i, j, u)
+
+    def make_tag(spec):
+        l, i, j, u = spec
+        words = [g.longest] * m
+        words[i] = u
+        words[j] = g.compose(g.longest, u)
+        return InequalityTag("WTI", l, tuple(words), (i, j))
+
+    sys = _dedup_system(n, m, rows(), {
         "system": "WTI",
         "count_nominal": 2 * n * comb(m, 2),
-    })
+    }, make_tag)
 
     # independent generation straight from vertex indices
     check = set()
@@ -318,16 +320,12 @@ def gen_sti(n: int, m: int) -> InequalitySystem:
     tuple of Schubert classes in the flag pre-ring."""
     tuples = enumerate_sigma(n, m)
     tables = [(l, _vertex_table(n, l).__getitem__) for l in (1, 2)]
-    first: dict[tuple, InequalityTag] = {}
-    for tup in tuples:
-        for l, vertex in tables:
-            key = tuple(map(vertex, tup))
-            if key not in first:
-                first[key] = InequalityTag("STI", l, tup)
-    return _system(n, m, first, 2 * len(tuples), {
+    rows = ((tuple(map(vertex, tup)), (l, tup))
+            for tup in tuples for l, vertex in tables)
+    return _dedup_system(n, m, rows, {
         "system": "STI",
         "sigma_count": len(tuples),
-    })
+    }, lambda spec: InequalityTag("STI", *spec))
 
 
 def _chain_products(elems: list[Element], mul, sigma, m: int) -> dict:
@@ -408,31 +406,34 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
     products = _chain_products(basis, mul, lambda i: ctx.sigma(basis[i]), m)
     # per l: the lambda-slot value of each basis element, and the mu-slot
     # table; every permutation's key is read off these
-    slot_values = [(l, [antipode(n, _vertex_table(n, l)[x]) for x in basis],
-                    _vertex_table(n, l)) for l in ls]
-    first: dict[tuple, InequalityTag] = {}
-    generated = 0
-    for combo, element in products.items():
-        support = [y for y, c in element.items()
-                   if c and (targets is None or y in targets)]
-        if not support:
-            continue
-        for perm in sorted(distinct_orderings(combo)):
-            heads = [(l, tuple(lam[p] for p in perm), mu)
-                     for l, lam, mu in slot_values]
-            generated += len(support) * len(heads)
-            for y in support:
-                for l, head, mu in heads:
-                    key = head + (mu[y],)
-                    if key not in first:
-                        words = tuple(basis[p] for p in perm) + (y,)
-                        first[key] = InequalityTag(tag_system, l, words)
-    return _system(n, m + 1, first, generated, {
+    tables = [(l, _vertex_table(n, l)) for l in ls]
+    slot_values = [(l, [antipode(n, mu[x]) for x in basis], mu)
+                   for l, mu in tables]
+
+    def rows():
+        for combo, element in products.items():
+            support = [y for y, c in element.items()
+                       if c and (targets is None or y in targets)]
+            if not support:
+                continue
+            for perm in sorted(distinct_orderings(combo)):
+                heads = [(l, tuple(lam[p] for p in perm), mu)
+                         for l, lam, mu in slot_values]
+                for y in support:
+                    for l, head, mu in heads:
+                        yield head + (mu[y],), (l, perm, y)
+
+    def make_tag(spec):
+        l, perm, y = spec
+        return InequalityTag(tag_system, l,
+                             tuple(basis[p] for p in perm) + (y,))
+
+    return _dedup_system(n, m + 1, rows(), {
         "system": f"{tag_system}:{kind}",
         "m": m,
         "kind": kind,
         "dominance": "all slots assumed dominant; not inequality rows",
-    })
+    }, make_tag)
 
 
 def _merge_km(n: int, m: int, kinds: tuple[str, ...],

@@ -62,14 +62,9 @@ def make_manifest(command: str, parameters: Mapping[str, Any],
 
 
 def wrap(command: str, parameters: Mapping[str, Any], payload: Any, *,
-         seed: int | None = None, field: dict[str, Any] | None = None,
-         encoded: bytes | None = None) -> dict[str, Any]:
-    """Bundle a payload with its manifest into one JSON document.
-
-    ``encoded``, when given, is ``canonical_bytes(payload)``; the digest is
-    then read off those bytes.
-    """
-    mani = make_manifest(command, parameters,
-                         {"payload": payload if encoded is None else encoded},
+         seed: int | None = None,
+         field: dict[str, Any] | None = None) -> dict[str, Any]:
+    """Bundle a payload with its manifest into one JSON document."""
+    mani = make_manifest(command, parameters, {"payload": payload},
                          seed=seed, field=field)
     return {"manifest": mani.to_json(), "payload": payload}
