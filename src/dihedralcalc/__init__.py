@@ -39,7 +39,6 @@ from .building import (
     min_slope_scan,
     slope_at,
 )
-from .manifest import RunManifest
 
 __all__ = [
     "AlgebraContext",
@@ -53,7 +52,6 @@ __all__ = [
     "GrassPreRing",
     "InequalitySystem",
     "KacMoodyContext",
-    "RunManifest",
     "WeightedConfiguration",
     "WeylElement",
     "bar_step",

@@ -8,7 +8,6 @@ seeds, exact arithmetic, no tolerances.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,15 +15,13 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import AlgebraContext
-from .building import ChamberGraph, census_classified, census_prediction, \
-    census_rounds, construct_semistable, find_antipodal_tuple, girth
+from .building import census_sweep, construct_semistable, girth
 from .chevalley import KacMoodyContext
 from .cones import DominantWeight, a1_product_system, cone_equal, gen_km, \
     gen_sti, gen_wti, redundancy_audit, row_values, small_field, theta_system
 from .field import field_init, sign_of, t_factorial, t_number
 from .filtration import ConcaveWeighting, concavity_audit, full_weight, \
     limit_table, side_weight
-from .prering import GrassPreRing
 from .weyl import WeylElement
 
 
@@ -170,22 +167,17 @@ def suite_concavity() -> SuiteResult:
                     return clock.done({"n": n}, {
                         "check": f"equality-set-{label}", "n": n,
                         "triple": (u, v, z)})
-        for x in range(n + 1):
-            for y in range(n + 1 - x):
-                gap = full_weight(descr, x + y) - full_weight(descr, x) \
-                    - full_weight(descr, y)
-                s = sign_of(gap)
-                if s < 0 or (s == 0) != (x * y * (n - x - y) == 0):
-                    return clock.done({"n": n}, {
-                        "check": "superadditivity-full", "n": n, "x": x, "y": y})
-        for x in range(n):
-            for y in range(n - x):
-                gap = side_weight(descr, x + y) - side_weight(descr, x) \
-                    - side_weight(descr, y)
-                s = sign_of(gap)
-                if s < 0 or (s == 0) != (x * y * (n - 1 - x - y) == 0):
-                    return clock.done({"n": n}, {
-                        "check": "superadditivity-side", "n": n, "x": x, "y": y})
+        for label, weight, top in (("full", full_weight, n),
+                                   ("side", side_weight, n - 1)):
+            for x in range(top + 1):
+                for y in range(top + 1 - x):
+                    gap = weight(descr, x + y) - weight(descr, x) \
+                        - weight(descr, y)
+                    s = sign_of(gap)
+                    if s < 0 or (s == 0) != (x * y * (top - x - y) == 0):
+                        return clock.done({"n": n}, {
+                            "check": f"superadditivity-{label}", "n": n,
+                            "x": x, "y": y})
     return clock.done({"n_max": 12, "pairs_checked": pairs})
 
 
@@ -275,42 +267,19 @@ def suite_census() -> SuiteResult:
     clock = _Clock("census")
     runs = 0
     for n in (3, 4, 5):
-        # complementary pairs land on exactly one point per vertex type
-        pair = find_antipodal_tuple(ChamberGraph.apartment(n, seed=2), 2)
-        for r1 in range(1, n - 1):
-            radii = [r1, n - 1 - r1]
-            total = 0
-            for l in (1, 2):
-                out = census_rounds(pair.graph, pair.chambers, radii, l)
-                runs += 1
-                if out.outcome != "1":
-                    return clock.done({"n": n}, {
-                        "check": "tight-pair", "n": n, "radii": radii,
-                        "grassmannian": l, "counts": out.counts})
-                total += out.counts[-1]
-            if total != 2:
-                return clock.done({"n": n}, {"check": "tight-pair-count",
-                                             "n": n, "radii": radii,
-                                             "count": total})
-        ring = GrassPreRing(n)
+        # the m = 2 sweep includes every complementary pair (r, n-1-r),
+        # which lands on exactly one point per vertex type
         for m in (2, 3):
-            tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=11), m)
-            for radii in itertools.combinations_with_replacement(
-                    range(1, n), m):
-                if not census_classified(n, radii):
-                    continue
-                expected = census_prediction(ring, radii)
-                for l in (1, 2):
-                    out = census_rounds(tup.graph, tup.chambers, list(radii), l)
-                    runs += 1
-                    if out.outcome != expected:
-                        return clock.done({"n": n, "m": m}, {
-                            "n": n, "m": m, "radii": radii, "grassmannian": l,
-                            "expected": expected, "outcome": out.outcome,
-                            "counts": out.counts})
-                    if girth(out.graph) < 2 * n:
-                        return clock.done({"n": n, "m": m}, {
-                            "check": "girth", "n": n, "m": m, "radii": radii})
+            for radii, l, expected, out in census_sweep(n, m):
+                runs += 1
+                if out.outcome != expected:
+                    return clock.done({"n": n, "m": m}, {
+                        "n": n, "m": m, "radii": radii, "grassmannian": l,
+                        "expected": expected, "outcome": out.outcome,
+                        "counts": out.counts})
+                if girth(out.graph) < 2 * n:
+                    return clock.done({"n": n, "m": m}, {
+                        "check": "girth", "n": n, "m": m, "radii": radii})
     return clock.done({"n_values": (3, 4, 5), "census_runs": runs})
 
 

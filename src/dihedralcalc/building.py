@@ -49,7 +49,8 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, combinations_with_replacement, compress, \
+    count, islice, repeat
 from operator import or_
 from typing import Iterator
 
@@ -753,6 +754,25 @@ def census_prediction(ring: GrassPreRing, radii) -> str:
     return "growing"
 
 
+def census_sweep(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, str, CensusReport]]:
+    """Every classified census run on one antipodal m-tuple of chambers.
+
+    Builds ``find_antipodal_tuple(ChamberGraph.apartment(n), m)`` once and
+    yields (radii, l, prediction, report) for each classified radius tuple
+    of ``combinations_with_replacement(range(1, n), m)``, in that order, and
+    each l in (1, 2).  The apartment's seed feeds only ``bar_step``'s
+    sampling, which the census never calls, so no output depends on it.
+    """
+    ring = GrassPreRing(n)
+    tup = find_antipodal_tuple(ChamberGraph.apartment(n), m)
+    for radii in combinations_with_replacement(range(1, n), m):
+        if not census_classified(n, radii):
+            continue
+        expected = census_prediction(ring, radii)
+        for l in (1, 2):
+            yield radii, l, expected, census_rounds(tup.graph, tup.chambers, list(radii), l)
+
+
 def census_to_csv(rows: list[dict]) -> str:
     """CSV with one row per (radii, grassmannian) census run."""
     buf = io.StringIO()
@@ -766,7 +786,7 @@ def census_to_csv(rows: list[dict]) -> str:
                 row["grassmannian"],
                 " ".join(str(c) for c in row["counts"]),
                 row["outcome"],
-                row.get("product_coefficient", ""),
+                row["product_coefficient"],
             ]
         )
     return buf.getvalue()

@@ -35,7 +35,7 @@ from .errors import BudgetExceededError, DomainError, InvalidParameterError, \
 from .field import field_init
 from .filtration import ConcaveWeighting, gr_table_json, limit_table_json, \
     subalgebra_table_json
-from .manifest import canonical_bytes, make_manifest, wrap
+from .manifest import canonical_bytes, wrap
 
 BUDGET_ENV = "DIHEDRALCALC_BUDGET"
 # every command refuses a request whose size, a count times n, exceeds this
@@ -203,10 +203,10 @@ def _cmd_cone(args) -> int:
         _emit_json(args, "cone", parameters, payload,
                    field=field_init(args.n).to_json(), dest=dest)
     else:
-        manifest = make_manifest("cone", parameters, {"payload": payload},
-                                 field=field_init(args.n).to_json())
+        manifest = wrap("cone", parameters, canonical_bytes(payload),
+                        field=field_init(args.n).to_json())["manifest"]
         text = "% manifest: " \
-            + canonical_bytes(manifest.to_json()).decode("ascii").strip() \
+            + canonical_bytes(manifest).decode("ascii").strip() \
             + "\n" + system_to_latex(built) + "\n"
         _write(dest, text.encode("ascii"))
     print(dest, file=sys.stderr)

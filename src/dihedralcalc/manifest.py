@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from . import __version__
@@ -34,37 +33,23 @@ def toolchain() -> dict[str, str]:
     return {"package": __version__, "python": platform.python_version()}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict[str, Any]
-    seed: int | None
-    field: dict[str, Any] | None
-    toolchain: dict[str, str]
-    digests: dict[str, str]
-
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
-
 def make_manifest(command: str, parameters: Mapping[str, Any],
                   payloads: Mapping[str, Any], *,
                   seed: int | None = None,
-                  field: dict[str, Any] | None = None) -> RunManifest:
+                  field: dict[str, Any] | None = None) -> dict[str, Any]:
     """A payload given as bytes is taken to be its own canonical encoding,
     so a caller that has encoded it already does not encode it again."""
     digests = {name: hashlib.sha256(doc).hexdigest()
                if isinstance(doc, bytes) else digest(doc)
                for name, doc in sorted(payloads.items())}
-    return RunManifest(command=command, parameters=dict(parameters),
-                       seed=seed, field=field, toolchain=toolchain(),
-                       digests=digests)
+    return {"command": command, "parameters": dict(parameters), "seed": seed,
+            "field": field, "toolchain": toolchain(), "digests": digests}
 
 
 def wrap(command: str, parameters: Mapping[str, Any], payload: Any, *,
          seed: int | None = None,
          field: dict[str, Any] | None = None) -> dict[str, Any]:
     """Bundle a payload with its manifest into one JSON document."""
-    mani = make_manifest(command, parameters, {"payload": payload},
-                         seed=seed, field=field)
-    return {"manifest": mani.to_json(), "payload": payload}
+    return {"manifest": make_manifest(command, parameters, {"payload": payload},
+                                      seed=seed, field=field),
+            "payload": payload}

@@ -21,6 +21,7 @@ from dihedralcalc.building import (
     census_classified,
     census_prediction,
     census_rounds,
+    census_sweep,
     census_to_csv,
     construct_semistable,
     find_antipodal_tuple,
@@ -817,6 +818,35 @@ def test_census_complementary_pair_exactly_two(n):
             assert out.outcome == "1", (n, radii, l, out.counts)
             total += out.counts[-1]
         assert total == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_sweep_covers_complementary_pairs(n):
+    # every pair (r, n-1-r) is classified, and each lands on one point per type
+    runs = {(radii, l): (expected, out.outcome)
+            for radii, l, expected, out in census_sweep(n, 2)}
+    for r1 in range(1, n - 1):
+        radii = tuple(sorted((r1, n - 1 - r1)))
+        for l in (1, 2):
+            assert runs[radii, l] == ("1", "1"), (n, radii, l)
+
+
+def _without_seed(doc):
+    """A graph's JSON with its two seed fields, top level and apartment log, dropped."""
+    log = [{k: v for k, v in entry.items() if k != "seed"} if entry["op"] == "apartment"
+           else entry for entry in doc["log"]]
+    return {**{k: v for k, v in doc.items() if k != "seed"}, "log": log}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_antipodal_tuple_ignores_the_seed(n):
+    # tuple growth samples nothing, so the census needs no seed
+    for m in (2, 3, 4):
+        reps = [find_antipodal_tuple(ChamberGraph.apartment(n, seed=s), m)
+                for s in (0, 2, 11)]
+        docs = [json.dumps(_without_seed(r.graph.to_json())) for r in reps]
+        assert all(r.chambers == reps[0].chambers for r in reps), (n, m)
+        assert docs[1] == docs[0] and docs[2] == docs[0], (n, m)
 
 
 def test_census_growing_strictly_increasing():

@@ -47,4 +47,4 @@ def test_equal_payloads_equal_manifests():
     a = make_manifest("audit", {"n": 4}, {"payload": {"k": [1]}})
     b = make_manifest("audit", {"n": 4}, {"payload": {"k": [1]}})
     assert a == b
-    assert canonical_bytes(a.to_json()) == canonical_bytes(b.to_json())
+    assert canonical_bytes(a) == canonical_bytes(b)

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/``: each exits 0 and writes output."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,22 @@ def test_script_writes_output(tmp_path, name, argv, written):
     out = tmp_path / written
     files = [out] if out.is_file() else sorted(out.iterdir())
     assert files and all(f.stat().st_size > 0 for f in files)
+
+
+# sha256 of census_table.py's CSV for --n 3 4 5, one per --m
+CENSUS_CSV_PINS = {
+    2: "7668cfd238b9c786045f39a879af8a0807d4f5d77cc9a6ab7b3e531be89d37e5",
+    3: "d3ef1ae3f3f07abc3ed08ba4f77fbbf03307c68d368c764c03ba5ca19a1f5767",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CENSUS_CSV_PINS))
+def test_census_table_csv_pinned(tmp_path, m):
+    proc = run_script("census_table.py", "--n", "3", "4", "5", "--m", str(m),
+                      "--out", "census.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    data = (tmp_path / "census.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CENSUS_CSV_PINS[m]
 
 
 def test_cone_atlas_fails_with_a_failed_latex_export(tmp_path):
