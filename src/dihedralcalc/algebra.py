@@ -12,7 +12,8 @@ bilinear extension of a product on basis labels: A_t here, its associated
 graded and tau -> infinity limit (filtration), the Kac-Moody Chevalley
 product (chevalley) and the homology pre-rings over Z/2 + {inf} (prering).
 They differ only in the structure constants and the coefficient system.
-``mul_table_json`` exports any of them basis by basis.
+``mul_table_json`` exports any of them basis by basis, encoding each
+distinct coefficient once.
 """
 
 from __future__ import annotations
@@ -193,16 +194,27 @@ def bilinear(mul_basis: Callable, a: dict, b: dict) -> dict:
 
 def mul_table_json(alg: AlgebraContext, basis: list[WeylElement],
                    mul_basis: Callable) -> dict:
-    """Basis-by-basis table of a product on the labels of ``basis``."""
+    """Basis-by-basis table of a product on the labels of ``basis``.
+
+    Products share coefficient objects (t_binomial caches them), so each
+    distinct object's JSON is written once per call, keyed by id with the
+    object held so that its id stays unique; every entry gets its own copy.
+    """
     if alg.n_t is None:
         raise UnsupportedModeError("full table requires the finite case")
     names = {w: _label(w) for w in basis}
+    encoded: dict[int, tuple] = {}  # id(c) -> (c, c.to_json())
     table = {}
     for u in basis:
         for v in basis:
-            table[f"{names[u]}*{names[v]}"] = [
-                {"w": names[w], "coeff": c.to_json()}
-                for w, c in sorted(mul_basis(u, v).items())]
+            entries = []
+            for w, c in sorted(mul_basis(u, v).items()):
+                got = encoded.get(id(c))
+                if got is None:
+                    got = encoded[id(c)] = (c, c.to_json())
+                # [:] copies a list and keeps a (pre-ring) str as it is
+                entries.append({"w": names[w], "coeff": got[1][:]})
+            table[f"{names[u]}*{names[v]}"] = entries
     return {"n": alg.group.n, "basis": [names[w] for w in basis],
             "field": alg.descr.to_json(), "table": table}
 

@@ -60,6 +60,8 @@ class KacMoodyContext:
         # ratio_i = sqrt(a_{i,3-i} / a_{3-i,i}) = a_{i,3-i} / sqrt(A)
         inv = self.sqrt_A.inverse()
         self.ratio = {1: inv * a12, 2: inv * a21}
+        # v -> 1 / generator_power_scale(v), filled by mul_basis
+        self._inv_scales: dict[WeylElement, FieldElement] = {}
 
     # -- products ---------------------------------------------------------------
 
@@ -115,8 +117,11 @@ class KacMoodyContext:
         acc = self.algebra.sigma(u)
         for _ in range(v.length):
             acc = self.mul_by_generator(acc, v.side)
-        scale = self.generator_power_scale(v)
-        return {w: c / scale for w, c in acc.items()}
+        inv = self._inv_scales.get(v)
+        if inv is None:
+            inv = self._inv_scales[v] = \
+                self.generator_power_scale(v).inverse()
+        return {w: c * inv for w, c in acc.items()}
 
     # -- W-action on the degree-one span ------------------------------------------
 
@@ -164,13 +169,11 @@ class KacMoodyContext:
         cj = c2 if i == 1 else c1
         return ci ** ((k + 1) // 2) * cj ** (k // 2)
 
-    def iso_map(self, x: Element, c1: FieldElement, c2: FieldElement) -> Element:
-        return {w: c * self.iso_scale(w, c1, c2) for w, c in x.items()}
-
     def iso_check(self, c1: FieldElement | int,
                   c2: FieldElement | int) -> IsoReport:
         """Verify that [X_w] -> scale(w) sigma_w is multiplicative and
-        W-equivariant on generators."""
+        W-equivariant on generators.  Each basis element's scale is
+        computed once per call and read for every term of every pair."""
         if isinstance(c1, int):
             c1 = self.descr.from_rational(c1)
         if isinstance(c2, int):
@@ -182,23 +185,26 @@ class KacMoodyContext:
                 "c1/c2 must equal sqrt(a12/a21) exactly")
         alg = self.algebra
         basis = alg.basis()
+        scales = {w: self.iso_scale(w, c1, c2) for w in basis}
+
+        def iso_map(x: Element) -> Element:
+            return {w: c * scales[w] for w, c in x.items()}
+
         checked = 0
         for u in basis:
             for v in basis:
                 if self.group.n is None and u.length + v.length > self.cap:
                     continue
-                lhs = self.iso_map(self.mul_basis(u, v), c1, c2)
-                rhs = alg.mul(self.iso_map(self.algebra.sigma(u), c1, c2),
-                              self.iso_map(self.algebra.sigma(v), c1, c2))
+                lhs = iso_map(self.mul_basis(u, v))
+                rhs = alg.mul({u: scales[u]}, {v: scales[v]})
                 checked += 1
                 if not alg.equal(lhs, rhs):
                     return IsoReport(False, checked, (u, v, lhs, rhs))
         for i in (1, 2):
             for j in (1, 2):
                 x = self.algebra.sigma(WeylElement(1, j))
-                lhs = self.iso_map(
-                    self.weyl_action_gen_degree_one(i, x), c1, c2)
-                rhs = alg.weyl_action_gen(i, self.iso_map(x, c1, c2))
+                lhs = iso_map(self.weyl_action_gen_degree_one(i, x))
+                rhs = alg.weyl_action_gen(i, iso_map(x))
                 checked += 1
                 if not alg.equal(lhs, rhs):
                     return IsoReport(False, checked, ((i, j), lhs, rhs))

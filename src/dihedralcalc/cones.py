@@ -328,23 +328,29 @@ def gen_sti(n: int, m: int) -> InequalitySystem:
     }, lambda spec: InequalityTag("STI", *spec))
 
 
-def _chain_products(elems: list[Element], mul, sigma, m: int) -> dict:
-    """Products of all sorted m-multisets of basis elements, memoized."""
-    memo: dict[tuple[int, ...], Element] = {}
-
-    def prod(combo: tuple[int, ...]) -> Element:
-        got = memo.get(combo)
-        if got is None:
-            if len(combo) == 1:
-                got = sigma(combo[0])
-            else:
-                got = mul(prod(combo[:-1]), sigma(combo[-1]))
-            memo[combo] = got
-        return got
-
+def _chain_products(elems: list[WeylElement], mul, sigma, m: int,
+                    top: int) -> dict:
+    """Products of the sorted m-multisets of basis elements whose lengths
+    sum to at most top, in lexicographic order, each prefix multiplied
+    once.  The algebras are graded with top degree ``top``, so every other
+    multiset has product zero.  Lengths must not decrease along elems."""
     out = {}
-    for combo in itertools.combinations_with_replacement(range(len(elems)), m):
-        out[combo] = prod(combo)
+
+    def walk(combo: tuple[int, ...], start: int, total: int,
+             element: Element) -> None:
+        if len(combo) == m:
+            out[combo] = element
+            return
+        left = m - len(combo)
+        for i in range(start, len(elems)):
+            length = elems[i].length
+            # every later factor is at least this long
+            if total + left * length > top:
+                break
+            walk(combo + (i,), i, total + length,
+                 mul(element, sigma(i)) if combo else sigma(i))
+
+    walk((), 0, 0, {})
     return out
 
 
@@ -403,7 +409,8 @@ def gen_km(n: int, m: int, kind: str = "at") -> InequalitySystem:
     else:
         ls = (1, 2)
 
-    products = _chain_products(basis, mul, lambda i: ctx.sigma(basis[i]), m)
+    products = _chain_products(basis, mul, lambda i: ctx.sigma(basis[i]), m,
+                               ctx.n_t)
     # per l: the lambda-slot value of each basis element, and the mu-slot
     # table; every permutation's key is read off these
     tables = [(l, _vertex_table(n, l)) for l in ls]

@@ -604,12 +604,23 @@ class FieldElement:
 
 def element_from_json(descr: FieldDescriptor, doc: Sequence[str]) -> FieldElement:
     """The element whose coefficients are the "p" or "p/q" strings of doc
-    (p, q read with int, q > 0); anything else is InvalidParameterError."""
+    (p, q read with int, q > 0); anything else is InvalidParameterError.
+
+    A document of integer strings alone, the common case, is read straight
+    over denominator 1; any other input, malformed ones included, takes the
+    general path, so the values read and the errors raised are the same.
+    """
     if not isinstance(doc, (list, tuple)):
         raise InvalidParameterError("coefficients must be a list of strings")
     if len(doc) != descr.degree:
         raise InvalidParameterError(
             f"expected {descr.degree} coefficients, got {len(doc)}")
+    if set(map(type, doc)) == {str}:
+        try:
+            # int reads no "/", so a fraction falls through as well
+            return _element(descr, tuple(map(int, doc)), 1)
+        except ValueError:
+            pass  # the general path names the offending coefficient
     nums, dens = [], []
     for s in doc:
         try:

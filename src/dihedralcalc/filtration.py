@@ -22,6 +22,7 @@ sigma_w of sigma_u sigma_v by tau^(phi(u) + phi(v) - phi(w)):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .algebra import AlgebraContext, Element, bilinear, mul_table_json
 from .errors import (
@@ -32,6 +33,8 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldElement,
+    approx,
+    float_dot,
     q_number_squared,
     sign_of,
     t_number,
@@ -57,6 +60,11 @@ def full_weight(descr: FieldDescriptor, x: int) -> FieldElement:
     return q_number_squared(descr, x)
 
 
+# the exact weights of phi(u) + phi(v) - phi(w), as float images for float_dot
+_PLUS_PLUS_MINUS = (1.0, 1.0, -1.0)
+_EXACT = (0.0, 0.0, 0.0)
+
+
 @dataclass
 class ConcaveWeighting:
     alg: AlgebraContext
@@ -66,6 +74,11 @@ class ConcaveWeighting:
     # (u.length, v.length, w.length) -> sign of the deformation exponent
     _signs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # length -> (f, r): values[length]'s float and error bound under approx
+    _images: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._images = {k: approx(value) for k, value in self.values.items()}
 
     @classmethod
     def full(cls, alg: AlgebraContext) -> "ConcaveWeighting":
@@ -85,12 +98,21 @@ class ConcaveWeighting:
     def exponent_sign(self, u: WeylElement, v: WeylElement,
                       w: WeylElement) -> int:
         """Sign of phi(u) + phi(v) - phi(w).  The weights depend on length
-        alone, so the sign is decided once per length triple."""
+        alone, so the sign is decided once per length triple: by
+        ``float_dot`` of the three weights' float images against
+        (1, 1, -1) wherever its proven bound r gives r < |s| < inf, and
+        exactly otherwise (in practice only where the sign is 0)."""
         key = (u.length, v.length, w.length)
         s = self._signs.get(key)
         if s is None:
-            s = self._signs[key] = sign_of(
-                _deformation_exponent(self, u, v, w))
+            (fu, ru), (fv, rv), (fw, rw) = map(self._images.__getitem__, key)
+            s, r = float_dot((fu, fv, fw), (ru, rv, rw), _PLUS_PLUS_MINUS,
+                             _EXACT)
+            if r < abs(s) < inf:
+                s = 1 if s > 0 else -1
+            else:
+                s = sign_of(_deformation_exponent(self, u, v, w))
+            self._signs[key] = s
         return s
 
     def basis(self) -> list[WeylElement]:
@@ -200,7 +222,9 @@ def grass_degree(alg: AlgebraContext, side: int, w: WeylElement) -> int:
 
 def limit_table(weighting: ConcaveWeighting) -> LimitReport:
     """Builds the full tau -> infinity table and checks it is carried onto
-    the matching pre-ring table by the degree-preserving relabeling."""
+    the matching pre-ring table by the degree-preserving relabeling
+    (w -> pd(w), or w -> grass_degree on a one-sided weighting), which is
+    tabulated once over the full basis per call and read per pair."""
     alg = weighting.alg
     if alg.n_t is None:
         raise UnsupportedModeError("limit tables require the finite case")
@@ -208,19 +232,18 @@ def limit_table(weighting: ConcaveWeighting) -> LimitReport:
     basis = weighting.basis()
     if weighting.target == "full":
         ring = FlagPreRing(n)
-        relabel = alg.group.pd
+        relabel = {w: alg.group.pd(w) for w in alg.basis()}
     else:
         ring = GrassPreRing(n)
-
-        def relabel(w, _alg=alg, _side=weighting.side):
-            return grass_degree(_alg, _side, w)
+        relabel = {w: grass_degree(alg, weighting.side, w)
+                   for w in alg.basis()}
 
     pairs = 0
     for u in basis:
         for v in basis:
             pairs += 1
-            got = {relabel(w): c for w, c in limit_mul(weighting, u, v).items()}
-            want = ring.mul_basis(relabel(u), relabel(v))
+            got = {relabel[w]: c for w, c in limit_mul(weighting, u, v).items()}
+            want = ring.mul_basis(relabel[u], relabel[v])
             if got != want:
                 return LimitReport(False, pairs, (u, v, got, want))
     return LimitReport(True, pairs)

@@ -395,6 +395,15 @@ SPARSE_PRODUCTS_PIN = (
     "4151da86c7902f36256ad3ff058ce3a4e26e691d61fdfeb7c617c84827600fda")
 
 
+def test_table_json_entries_own_their_coefficients():
+    # coefficients are encoded once per distinct value, but no two entries
+    # share a list, so editing one entry leaves the others alone
+    doc = AlgebraContext(field_init(5)).table_json()
+    coeffs = [e["coeff"] for es in doc["table"].values() for e in es]
+    assert len({id(c) for c in coeffs}) == len(coeffs)
+    assert len({tuple(c) for c in coeffs}) < len(coeffs)
+
+
 def test_sparse_products_pinned():
     from dihedralcalc.chevalley import KacMoodyContext
     from dihedralcalc.cones import gen_km

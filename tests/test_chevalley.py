@@ -382,6 +382,29 @@ def test_iso_check_accepts_hyperbolic_pair():
     assert report.ok, report.counterexample
 
 
+def test_iso_check_reports_a_wrong_scale(monkeypatch):
+    # one basis element off by a factor 3 (2**degree scalings would be a
+    # grading automorphism and pass): the scale table built once per call
+    # still yields the first counterexample, as per-term scales did
+    iso_scale = KacMoodyContext.iso_scale
+    off = WeylElement(2, 1)
+
+    def wrong(self, w, c1, c2):
+        scale = iso_scale(self, w, c1, c2)
+        return scale * 3 if w == off else scale
+
+    monkeypatch.setattr(KacMoodyContext, "iso_scale", wrong)
+    kms = KacMoodyContext(2, 1)
+    report = kms.iso_check(*kms.default_scaling())
+    assert not report.ok
+    assert report.pairs_checked == 10
+    one = WeylElement(1, 1)
+    descr = kms.descr
+    assert report.counterexample == (
+        one, one, {off: descr.element([-12, 0, 6, 0])},
+        {off: descr.element([-4, 0, 2, 0])})
+
+
 def test_iso_check_rejects_wrong_ratio():
     kms = KacMoodyContext(2, 1)
     with pytest.raises(UnsupportedCartanError):

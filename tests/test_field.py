@@ -830,6 +830,43 @@ def test_element_from_json_rejects(doc):
         element_from_json(field_init(2), doc)
 
 
+@pytest.mark.parametrize("name", ["t3/2", "n2", "n8", "n16"])
+def test_element_from_json_round_trips_integers_and_fractions(name):
+    # degrees 1, 2, 8 and 16; integer documents take the direct path
+    descr = REFERENCE_FIELDS[name]()
+    rng = random.Random(name)
+    for den in (1, 1, 6, 10 ** 20):
+        nums = [rng.randint(-10 ** 24, 10 ** 24) for _ in range(descr.degree)]
+        e = descr.element([Fraction(c, den) for c in nums])
+        doc = e.to_json()
+        back = element_from_json(descr, doc)
+        assert_canonical(descr, back)
+        assert back == e and back.to_json() == doc
+    for e in (descr.zero, descr.one, -descr.one):
+        assert element_from_json(descr, e.to_json()) == e
+
+
+@pytest.mark.parametrize("doc", [
+    [True, "0"],  # a bool is not a string
+    ["", "0"],
+    ["0x10", "0"],
+    ["1e3", "0"],
+])
+def test_element_from_json_integer_guard_rejects_as_before(doc):
+    with pytest.raises(InvalidParameterError,
+                       match=r"^coefficient .* is not an integer p or p/q$"):
+        element_from_json(field_init(2), doc)
+
+
+def test_element_from_json_integer_strings_read_by_int():
+    descr = field_init(2)
+    assert element_from_json(descr, [" 7", "0"]) == 7
+    assert element_from_json(descr, ["1_0", "0"]) == 10
+    assert element_from_json(descr, ["-0", "+3"]) == descr.element([0, 3])
+    assert element_from_json(descr, ["7", "1/2"]) == \
+        descr.element([7, Fraction(1, 2)])
+
+
 def test_descriptor_json():
     assert field_init(3).to_json() == {
         "mode": "cyclotomic", "n": 3, "min_poly": [-3, 0, 1]}

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dihedralcalc import filtration
 from dihedralcalc.algebra import AlgebraContext
 from dihedralcalc.errors import (
     InvalidParameterError,
@@ -29,7 +30,7 @@ from dihedralcalc.filtration import (
     subalgebra_table_json,
     _deformation_exponent,
 )
-from dihedralcalc.prering import Z2
+from dihedralcalc.prering import FlagPreRing, Z2
 from dihedralcalc.weyl import WeylElement
 
 
@@ -221,31 +222,44 @@ def test_deform_exponent_signs():
             assert not c.is_zero()
 
 
+# n = 20 carries the degree-16 weights with the widest float bounds
 WEIGHTINGS = {
     **{f"full-{n}": lambda n=n: ConcaveWeighting.full(alg(n))
-       for n in range(2, 13)},
+       for n in range(2, 21)},
     **{f"side{i}-{n}": lambda n=n, i=i: ConcaveWeighting.one_sided(alg(n), i)
-       for n in range(2, 13) for i in (1, 2)},
+       for n in range(2, 21) for i in (1, 2)},
     "hyperbolic": lambda: ConcaveWeighting.full(
         AlgebraContext(field_init(t=Fraction(5, 2)), cap=10)),
 }
 
 
 @pytest.mark.parametrize("name", list(WEIGHTINGS))
-def test_exponent_sign_matches_exponent(name):
+def test_exponent_sign_matches_exponent(name, monkeypatch):
     weighting = WEIGHTINGS[name]()
     basis = weighting.basis()
     assert set(weighting.values) == {u.length for u in basis}
     weight = full_weight if weighting.target == "full" else side_weight
     assert all(weighting.phi(u) == -weight(weighting.alg.descr, u.length)
                for u in basis)
+    exact = []
+
+    def counted(weighting, u, v, z):
+        exact.append((u.length, v.length, z.length))
+        return _deformation_exponent(weighting, u, v, z)
+
+    monkeypatch.setattr(filtration, "_deformation_exponent", counted)
+    signs = {}
     cap = weighting.alg.cap if weighting.alg.n_t is None else None
     for u, v in itertools.product(basis, repeat=2):
         if cap is not None and u.length + v.length > cap:
             continue
         for z in weighting.alg.mul_basis(u, v):
-            assert weighting.exponent_sign(u, v, z) == \
-                sign_of(_deformation_exponent(weighting, u, v, z))
+            s = sign_of(_deformation_exponent(weighting, u, v, z))
+            assert weighting.exponent_sign(u, v, z) == s
+            signs[u.length, v.length, z.length] = s
+    # the float filter decides every nonzero sign; exact arithmetic runs
+    # once per length triple whose exponent is 0, and only there
+    assert sorted(exact) == sorted(k for k, s in signs.items() if s == 0)
 
 
 # -- the collapse onto pre-rings -----------------------------------------------
@@ -274,6 +288,26 @@ def test_limit_matches_grassmannian_prering(n, i):
     report = limit_table(ConcaveWeighting.one_sided(alg(n), i))
     assert report.ok, report.mismatch
     assert report.pairs_checked == n * n
+
+
+def test_limit_table_reports_a_dropped_prering_term(monkeypatch):
+    # the relabeling table must not hide a wrong pre-ring product: the
+    # first pair whose product has two terms fails, as with per-pair relabels
+    mul_basis = FlagPreRing.mul_basis
+
+    def dropped(self, a, b):
+        out = dict(mul_basis(self, a, b))
+        if len(out) > 1:
+            out.popitem()
+        return out
+
+    monkeypatch.setattr(FlagPreRing, "mul_basis", dropped)
+    report = limit_table(ConcaveWeighting.full(alg(5)))
+    assert not report.ok
+    assert report.pairs_checked == 13
+    assert report.mismatch == (w(1, 1), w(1, 2),
+                               {w(3, 2): Z2.inf, w(3, 1): Z2.inf},
+                               {w(3, 1): Z2.inf})
 
 
 def test_grass_degree_relabeling():
