@@ -15,10 +15,12 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import AlgebraContext
-from .building import census_sweep, construct_semistable, girth
+from .building import census_sweep, check_census_certificate, construct_semistable, \
+    girth
 from .chevalley import KacMoodyContext
 from .cones import DominantWeight, a1_product_system, cone_equal, gen_km, \
     gen_sti, gen_wti, redundancy_audit, row_values, small_field, theta_system
+from .errors import VerificationError
 from .field import field_init, sign_of, t_factorial, t_number
 from .filtration import ConcaveWeighting, concavity_audit, full_weight, \
     limit_table, side_weight
@@ -265,22 +267,31 @@ def suite_classical() -> SuiteResult:
 
 def suite_census() -> SuiteResult:
     clock = _Clock("census")
-    runs = 0
+    runs = certified = 0
     for n in (3, 4, 5):
         # the m = 2 sweep includes every complementary pair (r, n-1-r),
         # which lands on exactly one point per vertex type
         for m in (2, 3):
-            for radii, l, expected, out in census_sweep(n, m):
+            for chambers, radii, l, expected, out in census_sweep(n, m):
                 runs += 1
                 if out.outcome != expected:
                     return clock.done({"n": n, "m": m}, {
                         "n": n, "m": m, "radii": radii, "grassmannian": l,
                         "expected": expected, "outcome": out.outcome,
                         "counts": out.counts})
+                if out.certificate is not None:
+                    try:
+                        check_census_certificate(out.graph, chambers, list(radii), out)
+                    except VerificationError as exc:
+                        return clock.done({"n": n, "m": m}, {
+                            "check": "certificate", "n": n, "m": m, "radii": radii,
+                            "grassmannian": l, "error": str(exc)})
+                    certified += 1
                 if girth(out.graph) < 2 * n:
                     return clock.done({"n": n, "m": m}, {
                         "check": "girth", "n": n, "m": m, "radii": radii})
-    return clock.done({"n_values": (3, 4, 5), "census_runs": runs})
+    return clock.done({"n_values": (3, 4, 5), "census_runs": runs,
+                       "census_certified": certified})
 
 
 # -- 9: semistability round-trip -----------------------------------------------------

@@ -670,12 +670,15 @@ class CensusReport:
     graph: ChamberGraph
     counts: list[int]
     outcome: str
+    certificate: tuple[int, int, int] | None = None
 
 
 def _census_saturation(g: ChamberGraph, chambers: list[Chamber], l: int) -> ChamberGraph:
     """One deterministic completion round focused on the chamber tuple.
 
-    Applies the bar joins (distance n+1 pairs get an (n-1)-path, distance n
+    ``census_rounds`` runs it only on the non-pod runs that no deficient
+    opposite pair decides, the "1" runs of the classified regimes.  It
+    applies the bar joins (distance n+1 pairs get an (n-1)-path, distance n
     pairs an n-path) but only to pairs among the chamber endpoints and the
     type-l vertices that are within n+1 of every chamber: exactly the pairs
     whose completion can change the census.  No cap, no sampling, so the
@@ -709,17 +712,32 @@ def census_rounds(
     radii: list[int],
     l: int,
 ) -> CensusReport:
-    """Track the census over three growth rounds and classify the outcome.
+    """Decide the census outcome by proof, or track it over three growth rounds.
 
-    When every radius pair sums to at least n, each round attaches a pod
-    with the given radii (adding a fresh intersection point); otherwise no
-    pod with these radii is admissible, the count has a girth-forced finite
-    bound, and the rounds run targeted completion steps until it stabilizes.
-    Outcome "growing" means strictly increasing counts across all rounds,
-    otherwise the final stable count ("0" or "1").
+    The count on g comes first.  A pair i < j of opposite chambers with
+    r_i + r_j < n - 1 decides "0" without growth: their closest endpoints
+    are n - 1 apart, so every vertex x has d(x, c_i) + d(x, c_j) >= n - 1
+    and lies outside one of the two balls, and girth >= 2n keeps that
+    distance as the graph grows, since a shorter path would close a cycle
+    of length at most 2n - 2 with a geodesic of g.  Such a run returns g,
+    the one count and the certificate (i, j, n - 1) that
+    ``check_census_certificate`` verifies; a nonzero count on g raises
+    VerificationError.  Otherwise, when every radius pair sums to at least
+    n, each round attaches a pod with the given radii (adding a fresh
+    intersection point); when not, no pod with these radii is admissible,
+    the count has a girth-forced finite bound, and the rounds run targeted
+    completion steps (``_census_saturation``) until it stabilizes.  Outcome
+    "growing" means strictly increasing counts across all rounds, otherwise
+    the final stable count ("0" or "1").
     """
     n = g.n
     counts = [ball_intersection_census(g, chambers, radii, l)]
+    certificate = _deficient_opposite_pair(g, chambers, radii)
+    if certificate is not None:
+        if counts[0]:
+            raise VerificationError(f"deficient opposite pair {certificate[:2]} "
+                                    f"meets {counts[0]} vertices")
+        return CensusReport(g, counts, "0", certificate)
     can_pod = all(
         radii[i] + radii[j] >= n for i in range(len(radii)) for j in range(i + 1, len(radii))
     )
@@ -734,6 +752,45 @@ def census_rounds(
     else:
         outcome = str(counts[-1])
     return CensusReport(g, counts, outcome)
+
+
+def _deficient_opposite_pair(g: ChamberGraph, chambers: list[Chamber],
+                             radii: list[int]) -> tuple[int, int, int] | None:
+    """The first pair i < j with r_i + r_j < n - 1 whose chambers are
+    opposite, as (i, j, n - 1); None when no deficient pair is opposite."""
+    n = g.n
+    for i in range(len(chambers) - 1):
+        deficient = [j for j in range(i + 1, len(chambers)) if radii[i] + radii[j] < n - 1]
+        if not deficient:
+            continue
+        table = g.chamber_distances(chambers[i])
+        for j in deficient:
+            if _opposite(n, table, chambers[j]):
+                return i, j, n - 1
+    return None
+
+
+def check_census_certificate(g: ChamberGraph, chambers: list[Chamber], radii: list[int],
+                             report: CensusReport) -> None:
+    """Verify a "0" run's certificate (i, j, d) on g; VerificationError if it fails.
+
+    Re-reads d, the distance of the closest endpoints of chambers i < j,
+    from ``g.chamber_distances``, and requires d == n - 1 (the chambers
+    are opposite), r_i + r_j < d (the balls cannot meet) and outcome "0".
+    """
+    i, j, d = report.certificate
+    if report.outcome != "0":
+        raise VerificationError(f"certified run has outcome {report.outcome!r}, not '0'")
+    if not 0 <= i < j < len(chambers) == len(radii):
+        raise VerificationError(f"certificate pair ({i}, {j}) is not a slot pair i < j")
+    table = g.chamber_distances(g.check_chamber(chambers[i]))
+    ends = [table[x] for x in g.check_chamber(chambers[j])]
+    seen = None if None in ends else min(ends)
+    if seen != d or d != g.n - 1:
+        raise VerificationError(f"chambers {i} and {j} are {seen} apart, certificate says "
+                                f"{d}, opposition needs {g.n - 1}")
+    if radii[i] + radii[j] >= d:
+        raise VerificationError(f"radii {radii[i]} + {radii[j]} reach the distance {d}")
 
 
 def census_classified(n: int, radii) -> bool:
@@ -754,12 +811,14 @@ def census_prediction(ring: GrassPreRing, radii) -> str:
     return "growing"
 
 
-def census_sweep(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, str, CensusReport]]:
+def census_sweep(n: int, m: int) -> Iterator[tuple[list[Chamber], tuple[int, ...], int, str,
+                                                  CensusReport]]:
     """Every classified census run on one antipodal m-tuple of chambers.
 
     Builds ``find_antipodal_tuple(ChamberGraph.apartment(n), m)`` once and
-    yields (radii, l, prediction, report) for each classified radius tuple
-    of ``combinations_with_replacement(range(1, n), m)``, in that order, and
+    yields (chambers, radii, l, prediction, report), with the tuple's
+    chambers, for each classified radius tuple of
+    ``combinations_with_replacement(range(1, n), m)``, in that order, and
     each l in (1, 2).  The apartment's seed feeds only ``bar_step``'s
     sampling, which the census never calls, so no output depends on it.
     """
@@ -770,7 +829,8 @@ def census_sweep(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, str, Ce
             continue
         expected = census_prediction(ring, radii)
         for l in (1, 2):
-            yield radii, l, expected, census_rounds(tup.graph, tup.chambers, list(radii), l)
+            yield (tup.chambers, radii, l, expected,
+                   census_rounds(tup.graph, tup.chambers, list(radii), l))
 
 
 def census_to_csv(rows: list[dict]) -> str:

@@ -23,6 +23,7 @@ from dihedralcalc.building import (
     census_rounds,
     census_sweep,
     census_to_csv,
+    check_census_certificate,
     construct_semistable,
     find_antipodal_tuple,
     girth,
@@ -181,9 +182,10 @@ def grown_graphs():
     """Distinct grown graphs, each with the chambers its census counts from.
 
     Every census output for n 3..5, m 2..3, every radius tuple and both l
-    (the census suite's tuples, apartment seed 11), ``bar_step`` stages 1
-    and 2 for n 3..5 (chambers (0, 1) and (n, n+1) of the seed apartment),
-    and a ``from_json`` round trip of the largest.  They reach 1857
+    (the census suite's tuples, apartment seed 11: a certified "0" run
+    returns the tuple's own graph, a "1" run a saturated one), ``bar_step``
+    stages 1 and 2 for n 3..5 (chambers (0, 1) and (n, n+1) of the seed
+    apartment), and a ``from_json`` round trip of the largest.  They reach 1857
     vertices, where the girth BFS's source skip and early stop cut work;
     the random graphs above stop at 14 vertices.
     """
@@ -824,7 +826,7 @@ def test_census_complementary_pair_exactly_two(n):
 def test_census_sweep_covers_complementary_pairs(n):
     # every pair (r, n-1-r) is classified, and each lands on one point per type
     runs = {(radii, l): (expected, out.outcome)
-            for radii, l, expected, out in census_sweep(n, 2)}
+            for _, radii, l, expected, out in census_sweep(n, 2)}
     for r1 in range(1, n - 1):
         radii = tuple(sorted((r1, n - 1 - r1)))
         for l in (1, 2):
@@ -858,11 +860,103 @@ def test_census_growing_strictly_increasing():
 
 
 def test_census_deficient_pair_empty():
+    # the proof decides the run on the input graph: one count, no growth
     n = 5
     rep = find_antipodal_tuple(ChamberGraph.apartment(n, seed=2), 3)
-    out = census_rounds(rep.graph, rep.chambers, [1, 1, 4], 2)
-    assert out.outcome == "0"
-    assert set(out.counts) == {0}
+    for radii, pair in (([1, 1, 4], (0, 1)), ([3, 1, 2], (1, 2))):
+        out = census_rounds(rep.graph, rep.chambers, radii, 2)
+        assert (out.counts, out.outcome, out.certificate) == ([0], "0", (*pair, n - 1))
+        assert out.graph is rep.graph
+        check_census_certificate(rep.graph, rep.chambers, radii, out)
+
+
+def test_census_deficient_pairs_count_zero_on_grown_graphs():
+    # the triangle inequality on every grown graph: opposite chambers'
+    # closest endpoints are n-1 apart, so balls with r_i + r_j < n-1 never
+    # meet, and census_rounds certifies each such run without growth
+    checked = collections.Counter()
+    for grown, chambers in grown_graphs():
+        n = grown.n
+        for g in (grown, ChamberGraph.from_json(grown.to_json())):
+            for i, j in itertools.combinations(range(len(chambers)), 2):
+                if not _opposite(n, g.chamber_distances(chambers[i]), chambers[j]):
+                    continue
+                pair = [chambers[i], chambers[j]]
+                for ri in range(n - 1):
+                    for rj in range(n - 1 - ri):
+                        for l in (1, 2):
+                            assert ball_intersection_census(g, pair, [ri, rj], l) == 0
+                            out = census_rounds(g, pair, [ri, rj], l)
+                            assert (out.counts, out.outcome) == ([0], "0")
+                            assert out.certificate == (0, 1, n - 1)
+                            assert out.graph is g
+                            check_census_certificate(g, pair, [ri, rj], out)
+                            checked[g.log[-1]["op"]] += 1
+    assert set(checked) == {"bar", "pod", "census-saturation", "tuple"}
+
+
+def test_census_deficient_pair_not_opposite_saturates():
+    # chambers (0, 1) and (2, 3) of an 8-cycle are 1 apart, not 3: no
+    # certificate, and the run takes the three saturation rounds
+    g = ChamberGraph.apartment(4)
+    out = census_rounds(g, [(0, 1), (2, 3)], [1, 1], 2)
+    assert out.certificate is None
+    assert len(out.counts) == 4
+    assert [e["op"] for e in out.graph.log[-3:]] == ["census-saturation"] * 3
+
+
+def test_grown_graphs_keep_the_saturated_graphs():
+    # the "0" runs now return the tuple's graph, and the "1" runs still
+    # yield one saturated graph per (n, m, l)
+    graphs = grown_graphs()
+    assert len(graphs) == 76
+    saturated = collections.Counter(
+        (g.n, len(chambers)) for g, chambers in graphs
+        if g.log[-1]["op"] == "census-saturation")
+    assert saturated == {(n, m): 2 for n in (3, 4, 5) for m in (2, 3)}
+
+
+def _certified_run():
+    n = 5
+    tup = find_antipodal_tuple(ChamberGraph.apartment(n, seed=11), 3)
+    radii = [1, 2, 4]
+    out = census_rounds(tup.graph, tup.chambers, radii, 1)
+    assert out.certificate == (0, 1, n - 1)
+    return tup, radii, out
+
+
+def test_census_certificate_accepted():
+    tup, radii, out = _certified_run()
+    check_census_certificate(tup.graph, tup.chambers, radii, out)
+
+
+@pytest.mark.parametrize("certificate", [(0, 2, 4), (1, 2, 4), (1, 0, 4), (0, 0, 4),
+                                         (0, 3, 4), (0, 1, 3), (0, 1, 5)],
+                         ids=["pair-0-2", "pair-1-2", "swapped", "same-slot", "no-slot",
+                              "short-d", "long-d"])
+def test_census_certificate_rejects_a_wrong_pair(certificate):
+    # (0, 2) and (1, 2) have r_i + r_j >= n - 1; the rest misstate the slots or d
+    tup, radii, out = _certified_run()
+    out.certificate = certificate
+    with pytest.raises(VerificationError):
+        check_census_certificate(tup.graph, tup.chambers, radii, out)
+
+
+def test_census_certificate_rejects_a_moved_chamber():
+    # chamber 1 moved onto the first edge that is not opposite chamber 0
+    tup, radii, out = _certified_run()
+    g, chambers = tup.graph, tup.chambers
+    moved = next(e for e in g.edges()
+                 if not _opposite(g.n, g.chamber_distances(chambers[0]), e))
+    with pytest.raises(VerificationError, match="apart"):
+        check_census_certificate(g, [chambers[0], moved, chambers[2]], radii, out)
+
+
+def test_census_certificate_rejects_other_outcomes():
+    tup, radii, out = _certified_run()
+    out.outcome = "1"
+    with pytest.raises(VerificationError, match="outcome"):
+        check_census_certificate(tup.graph, tup.chambers, radii, out)
 
 
 def test_census_point_class_inflation():
@@ -957,13 +1051,14 @@ def test_census_saturation_matches_oracle():
 
 
 # census_rounds at n = 5, m = 4 on the census suite's tuple (apartment seed
-# 11): counts, outcome and the sha256 of the final graph's JSON.  Three
-# saturation cases per l share one graph, since saturation ignores the radii.
+# 11): counts, outcome and the sha256 of the final graph's JSON.  The "0"
+# runs grow nothing, so both return the input tuple's graph; the two "1"
+# runs per l share one saturated graph, since saturation ignores the radii.
 CENSUS_N5_M4_PINS = [
-    ((1, 1, 1, 1), 1, [0, 0, 0, 0], "0",
-     "027fedfc4d67846357a8a13b52a4aad245c2f99e4d91353cf691e4c9612643cd"),
-    ((1, 1, 1, 1), 2, [0, 0, 0, 0], "0",
-     "6f2599f5447b7afd476e3abda93e729829ed3b33d368d9196cdd1be27d94a1f1"),
+    ((1, 1, 1, 1), 1, [0], "0",
+     "727b64fdb952daef90ea0cce58431b18a285c2b6444d3d2e391101955b1d6b7d"),
+    ((1, 1, 1, 1), 2, [0], "0",
+     "727b64fdb952daef90ea0cce58431b18a285c2b6444d3d2e391101955b1d6b7d"),
     ((1, 3, 4, 4), 1, [0, 1, 1, 1], "1",
      "027fedfc4d67846357a8a13b52a4aad245c2f99e4d91353cf691e4c9612643cd"),
     ((1, 3, 4, 4), 2, [0, 1, 1, 1], "1",

@@ -35,8 +35,8 @@ def test_script_writes_output(tmp_path, name, argv, written):
 
 # sha256 of census_table.py's CSV for --n 3 4 5, one per --m
 CENSUS_CSV_PINS = {
-    2: "7668cfd238b9c786045f39a879af8a0807d4f5d77cc9a6ab7b3e531be89d37e5",
-    3: "d3ef1ae3f3f07abc3ed08ba4f77fbbf03307c68d368c764c03ba5ca19a1f5767",
+    2: "4ddaf2f1e1e3e69f4b4b0b4a893d5057a56d717d55114e039156f0721b864e6c",
+    3: "0de404d56e2f9ba0bfee7eaa9073e7d527fe2b6cac60b1083e4529538d5a0b27",
 }
 
 
